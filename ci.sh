@@ -6,8 +6,8 @@
 #      pointers, the kAttemptFinished result pointer that is only valid
 #      during the callback) and UB anywhere in the suite.
 #   3. ThreadSanitizer build (-DPGA_SANITIZE=thread) in build-tsan/,
-#      catching data races in LocalService / htc::LocalExecutor and the
-#      chaos suite's concurrent paths.
+#      catching data races in LocalService's thread pool and the chaos
+#      suite's concurrent paths.
 # Every test carries a tier1* ctest label; the chaos suite additionally
 # matches -L chaos (see tests/CMakeLists.txt).
 # Usage: ./ci.sh [jobs]
@@ -99,4 +99,15 @@ echo "==> perf smoke (trigger_bench --smoke)"
 cmake --build build -j "${jobs}" --target trigger_bench
 build/bench/trigger_bench --smoke --out build/BENCH_trigger_smoke.json
 
-echo "==> CI OK (default + asan/ubsan + tsan + perf smokes)"
+# Repository benchmark build + output checks: perfbench/ is its own CMake
+# project that compiles ../src (add_subdirectory), so a src/ CMake edit can
+# break it without touching the main build. Each run builds on demand into
+# .bench_build/, checks its outputs (completion, closed-form job counts,
+# digest identity across passes and replicas) and exits non-zero on any
+# failed check. The leg gates on that exit code only, never on a timing.
+echo "==> perfbench (fleet-backlog, dag-large, assembly; exit code only)"
+for workload in fleet-backlog dag-large assembly; do
+  python3 perfbench/run.py --workload "${workload}" --seed 7919 --seconds 2 --trace 0
+done
+
+echo "==> CI OK (default + asan/ubsan + tsan + perf smokes + perfbench)"

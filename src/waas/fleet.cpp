@@ -16,7 +16,6 @@
 #include "wms/exec_service.hpp"
 #include "wms/planner.hpp"
 #include "workload/generator.hpp"
-#include "workload/streamed.hpp"
 
 namespace pga::waas {
 
@@ -91,9 +90,6 @@ FleetController::FleetController(sim::EventQueue& queue, FleetOptions options)
   if (options_.pump_batch == 0) {
     throw common::InvalidArgument("fleet: pump_batch must be >= 1");
   }
-  if (options_.cluster_size == 0) {
-    throw common::InvalidArgument("fleet: cluster_size must be >= 1");
-  }
 
   auto campus_cfg = options_.campus;
   campus_cfg.seed = common::mix64(options_.seed ^ kCampusSalt);
@@ -153,30 +149,17 @@ void FleetController::admit(const workload::WorkflowRequest& request) {
   active->arrival = request.arrival_seconds;
   active->admitted = queue_.now();
 
-  // Plan for the chosen site. Shapes with a streamed closed form skip the
-  // abstract workflow when clustering: the clustered concrete DAG lands
-  // directly (lazy ClusterRange constituents, no per-member job table).
-  if (options_.cluster_size > 1 &&
-      workload::streamed_build_supported(request.spec)) {
-    workload::StreamedBuildOptions build;
-    build.site = active->platform_name;
-    build.cluster_size = options_.cluster_size;
-    active->replicas = workload::streamed_replica_catalog(request.spec);
-    active->workflow = std::make_unique<wms::ConcreteWorkflow>(
-        workload::build_concrete_streamed(request.spec, build));
-  } else {
-    const wms::AbstractWorkflow abstract = workload::build_workflow(request.spec);
-    wms::PlannerOptions planner_options;
-    planner_options.target_site = active->platform_name;
-    planner_options.cluster_factor = options_.cluster_size;
-    planner_options.expected_output_bytes =
-        workload::expected_output_bytes(request.spec);
-    active->replicas = workload::generator_replica_catalog(abstract, request.spec);
-    active->workflow = std::make_unique<wms::ConcreteWorkflow>(
-        wms::plan(abstract, workload::generator_site_catalog(),
-                  workload::generator_transformation_catalog(abstract),
-                  active->replicas, planner_options));
-  }
+  // Plan for the chosen site.
+  const wms::AbstractWorkflow abstract = workload::build_workflow(request.spec);
+  wms::PlannerOptions planner_options;
+  planner_options.target_site = active->platform_name;
+  planner_options.expected_output_bytes =
+      workload::expected_output_bytes(request.spec);
+  active->replicas = workload::generator_replica_catalog(abstract, request.spec);
+  active->workflow = std::make_unique<wms::ConcreteWorkflow>(
+      wms::plan(abstract, workload::generator_site_catalog(),
+                workload::generator_transformation_catalog(abstract),
+                active->replicas, planner_options));
 
   // Service stack, innermost out: SimService on the placed platform, then
   // optional shared-bandwidth staging, then optional per-request chaos.

@@ -91,13 +91,6 @@ struct FleetOptions {
   sim::OsgConfig osg = {};
   /// false = campus only (single-platform fleet, mostly for tests).
   bool dual_platform = true;
-  /// >1: horizontally cluster compute jobs at admission, cluster_size per
-  /// scheduled unit (planner cluster_factor semantics). Shapes with a
-  /// streamed closed form (blast2cap3) are admitted through
-  /// workload::build_concrete_streamed — no abstract workflow, no
-  /// per-member job table, constituents described as lazy ClusterRanges —
-  /// so a large-n request costs the fleet O(n / cluster_size) memory.
-  std::size_t cluster_size = 1;
   /// Model stage-in/out through one shared TransferManager (bandwidth
   /// contention across the whole fleet) instead of flat-cost jobs.
   bool model_staging = false;

@@ -10,7 +10,7 @@ namespace pga::wms {
 // ---------------------------------------------------------- LocalService
 
 LocalService::LocalService(std::size_t slots, JobRunner runner)
-    : runner_(std::move(runner)), executor_(slots) {
+    : runner_(std::move(runner)), pool_(slots) {
   if (!runner_) throw common::InvalidArgument("LocalService: null runner");
 }
 
@@ -20,9 +20,9 @@ void LocalService::submit(const ConcreteJob& job) {
     ++outstanding_;
   }
   const double submit_time = clock_.seconds();
-  // The future from the executor is intentionally dropped: completion is
-  // delivered through the queue below instead.
-  (void)executor_.submit([this, job, submit_time] {
+  // The pool's future is intentionally dropped: the task never throws, and
+  // completion is delivered through completed_ instead.
+  (void)pool_.submit([this, job, submit_time] {
     TaskAttempt attempt;
     attempt.job_id = job.id;
     attempt.job = job.index;

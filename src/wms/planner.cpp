@@ -161,39 +161,15 @@ std::string_view ConcreteWorkflow::abstract_id_of(std::uint32_t index) const {
 std::vector<std::string> ConcreteWorkflow::constituents_of(
     std::uint32_t index) const {
   (void)job_at(index);  // bounds check
-  if (const auto it = constituents_.find(index); it != constituents_.end()) {
-    return it->second;
-  }
-  const auto it = cluster_ranges_.find(index);
-  if (it == cluster_ranges_.end()) return {};
-  const ClusterRange& range = it->second;
-  // Zero-padded to the width of the largest peer tag, like workload::tag.
-  std::size_t width = 1;
-  for (std::size_t v = range.total > 0 ? range.total - 1 : 0; v >= 10; v /= 10) {
-    ++width;
-  }
-  std::vector<std::string> out;
-  out.reserve(range.count);
-  for (std::size_t i = 0; i < range.count; ++i) {
-    std::string digits = std::to_string(range.begin + i);
-    std::string member = range.prefix;
-    member.reserve(member.size() + width);
-    member.append(width > digits.size() ? width - digits.size() : 0, '0');
-    member += digits;
-    out.push_back(std::move(member));
-  }
-  return out;
+  const auto it = constituents_.find(index);
+  if (it == constituents_.end()) return {};
+  return it->second;
 }
 
 void ConcreteWorkflow::set_constituents(std::uint32_t index,
                                         std::vector<std::string> members) {
   (void)job_at(index);  // bounds check
   constituents_[index] = std::move(members);
-}
-
-void ConcreteWorkflow::set_cluster_range(std::uint32_t index, ClusterRange range) {
-  (void)job_at(index);  // bounds check
-  cluster_ranges_[index] = std::move(range);
 }
 
 void ConcreteWorkflow::reserve(std::size_t job_count, std::size_t id_bytes) {
@@ -208,6 +184,13 @@ std::size_t ConcreteWorkflow::count(JobKind kind) const {
     if (job.kind == kind) ++n;
   }
   return n;
+}
+
+double stage_transfer_seconds(double base_seconds, std::uint64_t bytes,
+                              double bandwidth_bps) {
+  return base_seconds + (bytes > 0 && bandwidth_bps > 0
+                             ? static_cast<double>(bytes) / bandwidth_bps
+                             : 0.0);
 }
 
 ConcreteWorkflow plan(const AbstractWorkflow& abstract, const SiteCatalog& sites,
@@ -369,11 +352,8 @@ ConcreteWorkflow plan(const AbstractWorkflow& abstract, const SiteCatalog& sites
         const auto replica = replicas.best_for_site(lfn, site.name);
         if (replica.has_value()) stage_in.staged_bytes += replica->size_bytes;
       }
-      stage_in.cpu_seconds_hint =
-          options.stage_in_seconds +
-          (site.stage_bandwidth_bps > 0
-               ? static_cast<double>(stage_in.staged_bytes) / site.stage_bandwidth_bps
-               : 0.0);
+      stage_in.cpu_seconds_hint = stage_transfer_seconds(
+          options.stage_in_seconds, stage_in.staged_bytes, site.stage_bandwidth_bps);
       concrete.add_job(std::move(stage_in));
       // Parents every consumer of an external input.
       const std::set<std::string> input_set(inputs.begin(), inputs.end());
@@ -397,12 +377,9 @@ ConcreteWorkflow plan(const AbstractWorkflow& abstract, const SiteCatalog& sites
       stage_out.kind = JobKind::kStageOut;
       stage_out.args = outputs;
       stage_out.staged_bytes = options.expected_output_bytes;
-      stage_out.cpu_seconds_hint =
-          options.stage_out_seconds +
-          (options.expected_output_bytes > 0 && site.stage_bandwidth_bps > 0
-               ? static_cast<double>(options.expected_output_bytes) /
-                     site.stage_bandwidth_bps
-               : 0.0);
+      stage_out.cpu_seconds_hint = stage_transfer_seconds(
+          options.stage_out_seconds, options.expected_output_bytes,
+          site.stage_bandwidth_bps);
       concrete.add_job(std::move(stage_out));
       const std::set<std::string> output_set(outputs.begin(), outputs.end());
       std::set<std::string> producers;

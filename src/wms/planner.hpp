@@ -56,19 +56,6 @@ struct ConcreteJob {
   bool needs_software_setup = false;
 };
 
-/// Lazy constituents of one clustered job: members `prefix + tag(begin+i,
-/// total)` for i in [0, count) with the generator's zero-padded tag width
-/// (digits of total-1). Lets a streamed build describe a k-member cluster
-/// in O(1) instead of storing k id strings.
-struct ClusterRange {
-  std::string prefix;
-  std::size_t begin = 0;
-  std::size_t count = 0;
-  std::size_t total = 0;
-
-  friend bool operator==(const ClusterRange&, const ClusterRange&) = default;
-};
-
 /// A planned workflow bound to a site.
 class ConcreteWorkflow {
  public:
@@ -146,11 +133,9 @@ class ConcreteWorkflow {
   /// clustered jobs.
   [[nodiscard]] std::string_view abstract_id_of(std::uint32_t index) const;
   /// The abstract job ids folded into a clustered job (empty for
-  /// non-clustered jobs). Materializes lazily from a ClusterRange when the
-  /// cluster was described arithmetically.
+  /// non-clustered jobs).
   [[nodiscard]] std::vector<std::string> constituents_of(std::uint32_t index) const;
   void set_constituents(std::uint32_t index, std::vector<std::string> members);
-  void set_cluster_range(std::uint32_t index, ClusterRange range);
 
   /// Pre-sizes the interner and job storage (scale benches build
   /// million-job workflows; one allocation instead of log2(n) regrows).
@@ -166,9 +151,8 @@ class ConcreteWorkflow {
   IdTable ids_;  // job id -> handle == index into jobs_
   WorkflowGraph graph_;
   bool bulk_open_ = false;
-  /// Clustering side tables: only clustered jobs have entries.
+  /// Clustering side table: only clustered jobs have entries.
   std::unordered_map<std::uint32_t, std::vector<std::string>> constituents_;
-  std::unordered_map<std::uint32_t, ClusterRange> cluster_ranges_;
 };
 
 /// Planner knobs.
@@ -197,6 +181,13 @@ struct PlannerOptions {
   bool add_cleanup_jobs = false;
   double cleanup_seconds = 5;      ///< cost hint per cleanup job
 };
+
+/// Cost hint of a transfer job: `base_seconds` plus `bytes` moved at
+/// `bandwidth_bps`, with no transfer term when either is zero. Prices the
+/// stage-in and stage-out jobs of plan() and of the streamed builder.
+[[nodiscard]] double stage_transfer_seconds(double base_seconds,
+                                            std::uint64_t bytes,
+                                            double bandwidth_bps);
 
 /// Plans `abstract` onto `options.target_site`. Throws WorkflowError when a
 /// transformation is not in the catalog for the site, or an external input

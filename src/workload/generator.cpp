@@ -36,19 +36,16 @@ std::vector<Shape> all_shapes() {
           Shape::kMontage, Shape::kNgsPipeline, Shape::kBlast2cap3};
 }
 
-namespace {
-
-using common::mix64;
-
-/// Zero-padded index so id sort order == build order at any size (job ids
-/// order release and adjacency iteration; unpadded "10" < "2" would make
-/// orderings size-dependent).
 std::string tag(std::size_t i, std::size_t count) {
   std::string digits = std::to_string(i);
   const std::size_t width = std::to_string(count > 0 ? count - 1 : 0).size();
   if (digits.size() < width) digits.insert(0, width - digits.size(), '0');
   return digits;
 }
+
+namespace {
+
+using common::mix64;
 
 /// Leaves under the fan's gateways: sum of (1 + i*step).
 std::size_t fan_leaves(std::size_t n, std::size_t step) {

@@ -83,6 +83,11 @@ struct ShapeCounts {
 /// (montage needs >= 2, everything else >= 1).
 [[nodiscard]] ShapeCounts closed_form_counts(const ShapeSpec& spec);
 
+/// `i` zero-padded to the digit count of `count - 1`, so id sort order ==
+/// build order at any size (job ids order release and adjacency
+/// iteration; unpadded "10" < "2" would make orderings size-dependent).
+[[nodiscard]] std::string tag(std::size_t i, std::size_t count);
+
 /// "<shape>-n<size>-s<seed>", the generated workflow's name.
 [[nodiscard]] std::string spec_name(const ShapeSpec& spec);
 

@@ -8,9 +8,9 @@
 // array, a ThreadPool::parallel_for fills the worker span in deterministic
 // chunks (plain field writes into disjoint slots), finish_bulk() interns
 // ids sequentially, and the 4n regular edges land as 4 EdgePatterns. The
-// result is byte-identical to plan_shape(spec, site, cluster_size) — the
-// identity tests in tests/wms_golden_log_test.cpp pin jobs, edges,
-// adjacency and engine logs against the planner path.
+// result is byte-identical to plan_shape(spec, site) — the identity tests
+// in tests/wms_golden_log_test.cpp pin jobs, edges, adjacency and engine
+// logs against the planner path.
 #pragma once
 
 #include <cstddef>
@@ -28,9 +28,6 @@ namespace pga::workload {
 /// Knobs for build_concrete_streamed.
 struct StreamedBuildOptions {
   std::string site;  ///< "sandhills" or "osg" (generator_site_catalog)
-  /// >1: horizontally cluster the worker span, cluster_size per concrete
-  /// job, replicating plan()'s grouping exactly (ids, order, hints).
-  std::size_t cluster_size = 1;
   /// Emit the regular edge families as patterns (O(1) storage) instead of
   /// materialized lists. Adjacency is identical either way.
   bool edge_patterns = true;
@@ -51,19 +48,12 @@ struct StreamedBuildStats {
   std::size_t pattern_edges = 0;
 };
 
-/// True when `spec` has a streamed closed form (currently blast2cap3,
-/// the scale bench's shape). Unsupported specs fall back to plan_shape.
-[[nodiscard]] bool streamed_build_supported(const ShapeSpec& spec);
-
-/// Materializes plan_shape(spec, options.site, options.cluster_size)
-/// without the abstract intermediate. Byte-identical output. Throws
-/// InvalidArgument for unsupported specs/sites.
+/// Materializes plan_shape(spec, options.site) without the abstract
+/// intermediate. Byte-identical output. Only blast2cap3 (the scale
+/// bench's shape) has a streamed closed form: other shapes throw
+/// InvalidArgument, unknown sites WorkflowError.
 [[nodiscard]] wms::ConcreteWorkflow build_concrete_streamed(
     const ShapeSpec& spec, const StreamedBuildOptions& options,
     StreamedBuildStats* stats = nullptr);
-
-/// generator_replica_catalog(build_workflow(spec), spec) without building
-/// the abstract workflow — the streamed shapes' inputs are closed-form.
-[[nodiscard]] wms::ReplicaCatalog streamed_replica_catalog(const ShapeSpec& spec);
 
 }  // namespace pga::workload

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "common/error.hpp"
 #include "sim/osg.hpp"
@@ -65,6 +69,127 @@ TEST(LocalService, NowAdvances) {
   service.submit(job("x"));
   (void)service.wait();
   EXPECT_GE(service.now(), t0);
+}
+
+/// Drains `count` completions from `service`, in completion order.
+std::vector<TaskAttempt> collect(LocalService& service, std::size_t count) {
+  std::vector<TaskAttempt> out;
+  while (out.size() < count) {
+    auto batch = service.wait();
+    if (batch.empty()) break;
+    for (auto& attempt : batch) out.push_back(std::move(attempt));
+  }
+  return out;
+}
+
+TEST(LocalService, SuccessfulAttemptsCarryIdentityAndTimings) {
+  LocalService service(4, [](const ConcreteJob&) {});
+  for (int i = 0; i < 20; ++i) service.submit(job("j" + std::to_string(i)));
+  const auto attempts = collect(service, 20);
+  ASSERT_EQ(attempts.size(), 20u);
+  std::set<std::string> ids;
+  for (const auto& attempt : attempts) {
+    EXPECT_TRUE(attempt.success);
+    EXPECT_TRUE(attempt.error.empty());
+    EXPECT_EQ(attempt.node, "local");
+    EXPECT_EQ(attempt.transformation, "tf");
+    EXPECT_GE(attempt.wait_seconds, 0.0);
+    EXPECT_GE(attempt.exec_seconds, 0.0);
+    ids.insert(attempt.job_id);
+  }
+  EXPECT_EQ(ids.size(), 20u);
+}
+
+TEST(LocalService, FailedAttemptKeepsJobIdentity) {
+  LocalService service(2, [](const ConcreteJob&) {
+    throw std::runtime_error("task exploded");
+  });
+  ConcreteJob failing = job("broken");
+  failing.index = 7;
+  service.submit(failing);
+  const auto attempts = collect(service, 1);
+  ASSERT_EQ(attempts.size(), 1u);
+  EXPECT_FALSE(attempts[0].success);
+  EXPECT_EQ(attempts[0].error, "task exploded");
+  EXPECT_EQ(attempts[0].job_id, "broken");
+  EXPECT_EQ(attempts[0].job, 7u);
+  EXPECT_GE(attempts[0].end_time, attempts[0].submit_time);
+}
+
+TEST(LocalService, NonStdExceptionBecomesUnknownException) {
+  LocalService service(1, [](const ConcreteJob&) { throw 42; });  // NOLINT
+  service.submit(job("odd"));
+  const auto attempts = collect(service, 1);
+  ASSERT_EQ(attempts.size(), 1u);
+  EXPECT_FALSE(attempts[0].success);
+  EXPECT_EQ(attempts[0].error, "unknown exception");
+}
+
+TEST(LocalService, FailureDoesNotPoisonLaterJobs) {
+  LocalService service(1, [](const ConcreteJob& j) {
+    if (j.id == "bad") throw std::runtime_error("boom");
+  });
+  service.submit(job("bad"));
+  ASSERT_EQ(collect(service, 1).size(), 1u);
+  service.submit(job("good"));
+  const auto attempts = collect(service, 1);
+  ASSERT_EQ(attempts.size(), 1u);
+  EXPECT_EQ(attempts[0].job_id, "good");
+  EXPECT_TRUE(attempts[0].success);
+}
+
+TEST(LocalService, MeasuresExecSeconds) {
+  LocalService service(1, [](const ConcreteJob&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  });
+  service.submit(job("slow"));
+  const auto attempts = collect(service, 1);
+  ASSERT_EQ(attempts.size(), 1u);
+  EXPECT_GE(attempts[0].exec_seconds, 0.045);
+  EXPECT_GE(attempts[0].end_time - attempts[0].submit_time,
+            attempts[0].exec_seconds);
+}
+
+TEST(LocalService, WaitSecondsGrowWhenSlotsAreSaturated) {
+  LocalService service(1, [](const ConcreteJob& j) {
+    if (j.id == "first") std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  });
+  service.submit(job("first"));
+  service.submit(job("second"));
+  const auto attempts = collect(service, 2);
+  ASSERT_EQ(attempts.size(), 2u);
+  // One slot: completions arrive in submit order.
+  EXPECT_EQ(attempts[1].job_id, "second");
+  EXPECT_GE(attempts[1].wait_seconds, 0.05);
+}
+
+TEST(LocalService, SlotsBoundConcurrency) {
+  std::atomic<int> running{0};
+  std::atomic<int> peak{0};
+  LocalService service(3, [&](const ConcreteJob&) {
+    const int now = running.fetch_add(1) + 1;
+    int seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    running.fetch_sub(1);
+  });
+  for (int i = 0; i < 12; ++i) service.submit(job("j" + std::to_string(i)));
+  EXPECT_EQ(collect(service, 12).size(), 12u);
+  EXPECT_GE(peak.load(), 1);
+  EXPECT_LE(peak.load(), 3);
+}
+
+TEST(LocalService, DestructionWaitsForOutstandingJobs) {
+  std::atomic<int> done{0};
+  {
+    LocalService service(4, [&done](const ConcreteJob&) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      done.fetch_add(1);
+    });
+    for (int i = 0; i < 16; ++i) service.submit(job("j" + std::to_string(i)));
+  }
+  EXPECT_EQ(done.load(), 16);
 }
 
 TEST(SimServiceOsg, InstallAndRetriesFlowThroughEngine) {

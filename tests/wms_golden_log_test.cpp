@@ -13,7 +13,6 @@
 
 #include <filesystem>
 #include <memory>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -396,42 +395,6 @@ TEST(PatternedDag, StreamedExplicitModeAlsoMatchesPlannerPath) {
   const auto planned = workload::plan_shape(b2c3_spec(64, false), "osg");
   expect_same_concrete(streamed, planned);
   EXPECT_EQ(streamed.graph().pattern_edge_count(), 0u);
-}
-
-TEST(PatternedDag, ClusteredStreamMatchesPlannerClustering) {
-  // Streamed clustering must replicate plan()'s grouping exactly: ids,
-  // order, summed hints, constituents (via lazy ClusterRange), edges.
-  // n % k == 1 leaves a lone trailing worker; n % k == 0 is exact.
-  for (const std::string site : {"sandhills", "osg"}) {
-    for (const auto [n, k] : {std::pair<std::size_t, std::size_t>{100, 10},
-                              {101, 10},
-                              {7, 3},
-                              {5, 8}}) {
-      const auto spec = b2c3_spec(n, false);
-      workload::StreamedBuildOptions options;
-      options.site = site;
-      options.cluster_size = k;
-      const auto streamed = workload::build_concrete_streamed(spec, options);
-      const auto planned = workload::plan_shape(spec, site, k);
-      expect_same_concrete(streamed, planned);
-
-      // The clustered job set covers exactly the unclustered compute ids.
-      const auto unclustered = workload::plan_shape(spec, site);
-      std::set<std::string> covered;
-      for (std::uint32_t i = 0; i < streamed.jobs().size(); ++i) {
-        const ConcreteJob& job = streamed.jobs()[i];
-        if (job.kind == JobKind::kCompute) covered.insert(job.id);
-        for (const auto& member : streamed.constituents_of(i)) {
-          EXPECT_TRUE(covered.insert(member).second) << member;
-        }
-      }
-      std::set<std::string> expected;
-      for (const ConcreteJob& job : unclustered.jobs()) {
-        if (job.kind == JobKind::kCompute) expected.insert(job.id);
-      }
-      EXPECT_EQ(covered, expected) << site << " n=" << n << " k=" << k;
-    }
-  }
 }
 
 TEST(PatternedDag, LeanReportStreamsTheSameDigestAndCounters) {
