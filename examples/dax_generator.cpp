@@ -15,6 +15,7 @@
 #include "core/b2c3_workflow.hpp"
 #include "wms/dax_xml.hpp"
 #include "wms/dot.hpp"
+#include "workload/generator.hpp"
 
 int main(int argc, char** argv) {
   using namespace pga;
@@ -45,7 +46,8 @@ int main(int argc, char** argv) {
   options.target_site = platform;
   options.explicit_setup_jobs = explicit_setup;
   const auto concrete =
-      wms::plan(dax, core::paper_site_catalog(), core::paper_transformation_catalog(),
+      wms::plan(dax, workload::generator_site_catalog(),
+                core::paper_transformation_catalog(),
                 core::paper_replica_catalog(spec), options);
 
   const std::string output = emit_dot ? wms::to_dot(concrete) : wms::to_dax_xml(dax);

@@ -1,6 +1,7 @@
 #include "core/b2c3_workflow.hpp"
 
 #include "common/error.hpp"
+#include "workload/generator.hpp"
 
 namespace pga::core {
 
@@ -117,18 +118,6 @@ AbstractWorkflow build_blast2cap3_dax(const B2c3WorkflowSpec& spec,
   return wf;
 }
 
-wms::SiteCatalog paper_site_catalog(std::size_t sandhills_slots,
-                                    std::size_t osg_slots) {
-  wms::SiteCatalog sites;
-  // Campus scratch filesystems sustain ~100 MB/s; wide-area transfers into
-  // opportunistic OSG sites run an order of magnitude slower.
-  sites.add({"sandhills", sandhills_slots, /*software_preinstalled=*/true,
-             "/work/group/scratch", /*stage_bandwidth_bps=*/100e6});
-  sites.add({"osg", osg_slots, /*software_preinstalled=*/false, "/tmp/osg-scratch",
-             /*stage_bandwidth_bps=*/10e6});
-  return sites;
-}
-
 wms::TransformationCatalog paper_transformation_catalog() {
   wms::TransformationCatalog tc;
   const char* transformations[] = {"create_list", "split_alignments", "run_cap3",
@@ -162,8 +151,9 @@ wms::ConcreteWorkflow plan_for_site(const wms::AbstractWorkflow& dax,
   wms::PlannerOptions options;
   options.target_site = site;
   options.cluster_factor = cluster_factor;
-  return wms::plan(dax, paper_site_catalog(), paper_transformation_catalog(),
-                   paper_replica_catalog(spec), options);
+  return wms::plan(dax, workload::generator_site_catalog(),
+                   paper_transformation_catalog(), paper_replica_catalog(spec),
+                   options);
 }
 
 }  // namespace pga::core

@@ -1,7 +1,8 @@
 // Builders for the blast2cap3 scientific workflow (Fig. 2 and Fig. 3).
 //
-// One function produces the abstract DAX; companions set up the catalogs
-// for the two sites and plan the concrete workflow the way the paper did:
+// One function produces the abstract DAX; companions set up the
+// transformation and replica catalogs and plan the concrete workflow on the
+// paper's two sites (workload::generator_site_catalog) the way the paper did:
 // the Sandhills plan uses preinstalled software; the OSG plan carries a
 // download/install step on every compute task (the red rectangles).
 #pragma once
@@ -39,12 +40,6 @@ struct B2c3WorkflowSpec {
 wms::AbstractWorkflow build_blast2cap3_dax(const B2c3WorkflowSpec& spec,
                                            const WorkloadModel* workload = nullptr);
 
-/// The two execution sites of the paper, as catalog entries.
-/// "sandhills": 1,440-core campus cluster, software preinstalled.
-/// "osg": opportunistic grid, software must be staged per task.
-wms::SiteCatalog paper_site_catalog(std::size_t sandhills_slots = 64,
-                                    std::size_t osg_slots = 150);
-
 /// Registers every blast2cap3 transformation for both sites (installed on
 /// sandhills, stageable on osg).
 wms::TransformationCatalog paper_transformation_catalog();
@@ -52,7 +47,8 @@ wms::TransformationCatalog paper_transformation_catalog();
 /// Registers the two input files at the "local" submit host.
 wms::ReplicaCatalog paper_replica_catalog(const B2c3WorkflowSpec& spec = {});
 
-/// Plans the workflow for one of the paper's sites ("sandhills" or "osg").
+/// Plans the workflow for one of the paper's sites ("sandhills" or "osg"),
+/// taken from workload::generator_site_catalog().
 wms::ConcreteWorkflow plan_for_site(const wms::AbstractWorkflow& dax,
                                     const std::string& site,
                                     const B2c3WorkflowSpec& spec = {},

@@ -39,25 +39,6 @@ struct SingleRun {
   std::size_t preemptions = 0;
 };
 
-/// Registers a storage element per catalog site (plus the submit host) on
-/// `transfers`, deriving bandwidths from the site catalog.
-void add_site_elements(data::TransferManager& transfers, const wms::SiteCatalog& sites,
-                       std::size_t transfer_slots) {
-  for (const auto& name : sites.names()) {
-    const wms::SiteEntry& site = sites.site(name);
-    data::StorageElementConfig element;
-    element.site = name;
-    element.bandwidth_in_bps = site.stage_bandwidth_bps;
-    element.bandwidth_out_bps = site.stage_bandwidth_bps;
-    element.transfer_slots = transfer_slots;
-    transfers.add_element(std::move(element));
-  }
-  data::StorageElementConfig submit_host;
-  submit_host.site = "local";
-  submit_host.transfer_slots = transfer_slots;
-  transfers.add_element(std::move(submit_host));
-}
-
 SingleRun run_once(const ExperimentConfig& config, const std::string& platform,
                    std::size_t n, std::uint64_t run_seed) {
   if (platform != "sandhills" && platform != "osg" && platform != "cloud") {
@@ -110,7 +91,8 @@ SingleRun run_once(const ExperimentConfig& config, const std::string& platform,
     // Each repetition draws its own failure stream, like the platforms.
     transfer_config.seed ^= run_seed;
     transfers = std::make_unique<data::TransferManager>(queue, transfer_config);
-    add_site_elements(*transfers, paper_site_catalog(), config.data.transfer_slots);
+    data::add_site_elements(*transfers, workload::generator_site_catalog(),
+                            config.data.transfer_slots);
     data::StagingConfig staging_cfg;
     staging_cfg.execution_site = concrete.site();
     staging = std::make_unique<data::StagingService>(queue, sim_service, *transfers,
@@ -251,7 +233,7 @@ ShapeRun run_shape_point(const ExperimentConfig& config,
     data::TransferConfig transfer_config = config.data.transfers;
     transfer_config.seed ^= run_seed;
     transfers = std::make_unique<data::TransferManager>(queue, transfer_config);
-    add_site_elements(*transfers, sites, config.data.transfer_slots);
+    data::add_site_elements(*transfers, sites, config.data.transfer_slots);
     data::StagingConfig staging_cfg;
     staging_cfg.execution_site = concrete.site();
     staging = std::make_unique<data::StagingService>(queue, sim_service, *transfers,

@@ -229,4 +229,21 @@ void TransferManager::finish(const std::shared_ptr<Request>& request, bool succe
   request->on_complete(result);
 }
 
+void add_site_elements(TransferManager& transfers, const wms::SiteCatalog& sites,
+                       std::size_t transfer_slots) {
+  for (const auto& name : sites.names()) {
+    const wms::SiteEntry& site = sites.site(name);
+    StorageElementConfig element;
+    element.site = name;
+    element.bandwidth_in_bps = site.stage_bandwidth_bps;
+    element.bandwidth_out_bps = site.stage_bandwidth_bps;
+    element.transfer_slots = transfer_slots;
+    transfers.add_element(std::move(element));
+  }
+  StorageElementConfig submit_host;
+  submit_host.site = "local";
+  submit_host.transfer_slots = transfer_slots;
+  transfers.add_element(std::move(submit_host));
+}
+
 }  // namespace pga::data

@@ -135,4 +135,11 @@ class TransferManager {
   Stats stats_;
 };
 
+/// Registers one storage element per catalog site at the site's stage
+/// bandwidth (both directions) plus the "local" submit host, each with
+/// `transfer_slots` concurrent transfers — the wiring every staged run
+/// (core experiments, the WaaS fleet) shares.
+void add_site_elements(TransferManager& transfers, const wms::SiteCatalog& sites,
+                       std::size_t transfer_slots);
+
 }  // namespace pga::data

@@ -31,26 +31,6 @@ constexpr std::uint64_t kTransferSalt = 0x5452414e53460003ULL;
 constexpr std::uint64_t kChaosSalt = 0x4348414f53000004ULL;
 constexpr std::uint64_t kBackoffSalt = 0x4241434b4f460005ULL;
 
-/// Registers one storage element per generator-catalog site plus the
-/// submit host (same shape as the core experiment wiring).
-void add_fleet_elements(data::TransferManager& transfers,
-                        std::size_t transfer_slots) {
-  const wms::SiteCatalog sites = workload::generator_site_catalog();
-  for (const auto& name : sites.names()) {
-    const wms::SiteEntry& site = sites.site(name);
-    data::StorageElementConfig element;
-    element.site = name;
-    element.bandwidth_in_bps = site.stage_bandwidth_bps;
-    element.bandwidth_out_bps = site.stage_bandwidth_bps;
-    element.transfer_slots = transfer_slots;
-    transfers.add_element(std::move(element));
-  }
-  data::StorageElementConfig submit_host;
-  submit_host.site = "local";
-  submit_host.transfer_slots = transfer_slots;
-  transfers.add_element(std::move(submit_host));
-}
-
 }  // namespace
 
 /// One admitted workflow. Members are declaration-ordered so destruction
@@ -103,7 +83,8 @@ FleetController::FleetController(sim::EventQueue& queue, FleetOptions options)
     data::TransferConfig transfer_cfg;
     transfer_cfg.seed = common::mix64(options_.seed ^ kTransferSalt);
     transfers_ = std::make_unique<data::TransferManager>(queue_, transfer_cfg);
-    add_fleet_elements(*transfers_, options_.transfer_slots);
+    data::add_site_elements(*transfers_, workload::generator_site_catalog(),
+                            options_.transfer_slots);
     storage_bus_ = std::make_unique<data::StorageEventBus>(&queue_);
     transfers_->set_event_bus(storage_bus_.get());
   }
@@ -187,6 +168,8 @@ void FleetController::admit(const workload::WorkflowRequest& request) {
   wms::EngineOptions engine_options = options_.engine;
   engine_options.status = nullptr;
   engine_options.rescue_path.reset();
+  // reap() reads only scalars and the streamed digest: no roster, no log.
+  engine_options.lean_report = true;
   // Throttling is fleet-level (per-round budgets), not per-engine.
   engine_options.max_jobs_in_flight = 0;
   engine_options.policy = options_.policy == data::kLocalityPolicyName
@@ -221,7 +204,7 @@ void FleetController::reap(std::size_t slot, std::vector<WorkflowOutcome>& outco
   outcome.success = report.success;
   outcome.jobs = report.jobs_total;
   outcome.retries = report.total_retries;
-  outcome.digest = common::lines_digest(report.jobstate_log);
+  outcome.digest = report.jobstate_digest;
   telemetry_.record_workflow(active.tenant, outcome.makespan_seconds,
                              outcome.success);
   outcomes.push_back(std::move(outcome));

@@ -81,8 +81,9 @@ struct FleetOptions {
   /// concurrently-stepping engines.
   std::string policy = "fifo";
   /// Per-engine options template: retries, backoff, attempt timeout,
-  /// blacklist. `policy`, `observers`, `status` and `rescue_path` fields
-  /// are controller-owned and ignored here.
+  /// blacklist. `policy`, `observers`, `status`, `rescue_path`,
+  /// `max_jobs_in_flight`, `backoff_seed` and `lean_report` fields are
+  /// controller-owned and ignored here.
   wms::EngineOptions engine = {};
   /// Platform sizing. Seeds are overridden from `seed`; slots are the
   /// elastic-provisioning knob (the paper's fixed 512/150 split is tiny

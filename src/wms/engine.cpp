@@ -19,8 +19,12 @@ namespace pga::wms {
 
 // ------------------------------------------------------ RunReportBuilder
 
-RunReportBuilder::RunReportBuilder(const ConcreteWorkflow& workflow)
-    : log_(report_.jobstate_log) {
+RunReportBuilder::RunReportBuilder(const ConcreteWorkflow& workflow,
+                                   bool keep_records)
+    : keep_records_(keep_records) {
+  // The roster alone is ~100 B/job — at 10^7 jobs a gigabyte the lean
+  // report cannot afford, so it exists only when records are kept.
+  if (!keep_records_) return;
   runs_.reserve(workflow.jobs().size());
   for (const auto& job : workflow.jobs()) {
     JobRun run;
@@ -32,7 +36,14 @@ RunReportBuilder::RunReportBuilder(const ConcreteWorkflow& workflow)
 }
 
 void RunReportBuilder::on_event(const EngineEvent& event) {
-  log_.on_event(event);
+  if (format_jobstate_line(event, line_)) {
+    // The fold matches common::lines_digest (per line, then '\n') byte for
+    // byte, so take() never re-hashes the stored log.
+    digest_ = common::fnv1a(digest_, line_);
+    digest_ = common::fnv1a(digest_, "\n");
+    ++report_.jobstate_lines;
+    if (keep_records_) report_.jobstate_log.push_back(std::move(line_));
+  }
   switch (event.type) {
     case EngineEventType::kRunStarted:
       report_.workflow = std::string(event.workflow);
@@ -41,27 +52,29 @@ void RunReportBuilder::on_event(const EngineEvent& event) {
       report_.start_time = event.time;
       // A clean run logs two lines per job (SUBMIT, SUCCESS); sizing the
       // vector up front avoids ~20 reallocations at million-job scale.
-      report_.jobstate_log.reserve(2 * event.total_jobs + 8);
+      if (keep_records_) report_.jobstate_log.reserve(2 * event.total_jobs + 8);
       break;
-    case EngineEventType::kJobRescued: {
-      JobRun& run = runs_.at(event.job);
-      run.succeeded = true;
-      run.skipped_by_rescue = true;
+    case EngineEventType::kJobRescued:
       ++report_.jobs_skipped;
+      if (keep_records_) {
+        JobRun& run = runs_.at(event.job);
+        run.succeeded = true;
+        run.skipped_by_rescue = true;
+      }
       break;
-    }
-    case EngineEventType::kAttemptFinished: {
+    case EngineEventType::kAttemptFinished:
       ++report_.total_attempts;
-      JobRun& run = runs_.at(event.job);
-      run.attempts.push_back(*event.result);
-      if (event.success) run.succeeded = true;
+      if (keep_records_) {
+        JobRun& run = runs_.at(event.job);
+        run.attempts.push_back(*event.result);
+        if (event.success) run.succeeded = true;
+      }
       break;
-    }
     case EngineEventType::kJobRetry:
       ++report_.total_retries;
       break;
     case EngineEventType::kJobBackoff:
-      runs_.at(event.job).backoff_seconds += event.backoff_seconds;
+      if (keep_records_) runs_.at(event.job).backoff_seconds += event.backoff_seconds;
       report_.total_backoff_seconds += event.backoff_seconds;
       break;
     case EngineEventType::kAttemptTimedOut:
@@ -69,6 +82,11 @@ void RunReportBuilder::on_event(const EngineEvent& event) {
       break;
     case EngineEventType::kNodeBlacklisted:
       report_.blacklisted_nodes.emplace_back(event.node);
+      break;
+    case EngineEventType::kJobSucceeded:
+      // Rescued jobs never emit kJobSucceeded, so this equals the roster's
+      // `succeeded && !skipped_by_rescue` tally.
+      ++report_.jobs_succeeded;
       break;
     case EngineEventType::kJobFailed:
       ++report_.jobs_failed;
@@ -78,7 +96,7 @@ void RunReportBuilder::on_event(const EngineEvent& event) {
       report_.success = event.success;
       break;
     default:
-      break;  // kJobReady / kJobSubmitted / kJobSucceeded carry no accounting
+      break;  // kJobReady / kJobSubmitted carry no accounting
   }
 }
 
@@ -90,70 +108,8 @@ RunReport RunReportBuilder::take() {
     return runs_[a].id < runs_[b].id;
   });
   report_.runs.reserve(runs_.size());
-  for (const std::uint32_t index : by_id) {
-    JobRun& run = runs_[index];
-    if (run.succeeded && !run.skipped_by_rescue) ++report_.jobs_succeeded;
-    report_.runs.push_back(std::move(run));
-  }
+  for (const std::uint32_t index : by_id) report_.runs.push_back(std::move(runs_[index]));
   runs_.clear();
-  report_.jobstate_digest = common::lines_digest(report_.jobstate_log);
-  report_.jobstate_lines = report_.jobstate_log.size();
-  return std::move(report_);
-}
-
-// ---------------------------------------------------- LeanReportObserver
-
-void LeanReportObserver::on_event(const EngineEvent& event) {
-  if (format_jobstate_line(event, line_)) {
-    // Stream the log through the digest instead of storing it; the fold
-    // matches common::lines_digest (per line, then '\n') byte for byte.
-    digest_ = common::fnv1a(digest_, line_);
-    digest_ = common::fnv1a(digest_, "\n");
-    ++report_.jobstate_lines;
-  }
-  switch (event.type) {
-    case EngineEventType::kRunStarted:
-      report_.workflow = std::string(event.workflow);
-      report_.service = std::string(event.service);
-      report_.jobs_total = event.total_jobs;
-      report_.start_time = event.time;
-      break;
-    case EngineEventType::kJobRescued:
-      ++report_.jobs_skipped;
-      break;
-    case EngineEventType::kAttemptFinished:
-      ++report_.total_attempts;
-      break;
-    case EngineEventType::kJobRetry:
-      ++report_.total_retries;
-      break;
-    case EngineEventType::kJobBackoff:
-      report_.total_backoff_seconds += event.backoff_seconds;
-      break;
-    case EngineEventType::kAttemptTimedOut:
-      ++report_.timed_out_attempts;
-      break;
-    case EngineEventType::kNodeBlacklisted:
-      report_.blacklisted_nodes.emplace_back(event.node);
-      break;
-    case EngineEventType::kJobSucceeded:
-      // Rescued jobs never emit kJobSucceeded, so this counter matches the
-      // full builder's `succeeded && !skipped_by_rescue` tally.
-      ++report_.jobs_succeeded;
-      break;
-    case EngineEventType::kJobFailed:
-      ++report_.jobs_failed;
-      break;
-    case EngineEventType::kRunFinished:
-      report_.end_time = event.time;
-      report_.success = event.success;
-      break;
-    default:
-      break;
-  }
-}
-
-RunReport LeanReportObserver::take() {
   report_.jobstate_digest = digest_;
   return std::move(report_);
 }
@@ -250,6 +206,7 @@ EngineInstance::EngineInstance(const EngineOptions& options,
       ids_(workflow.ids()),
       service_(service),
       fsm_(workflow),
+      builder_(workflow, /*keep_records=*/!options.lean_report),
       in_flight_(workflow.jobs().size()),
       stale_attempts_(workflow.jobs().size(), 0),
       backoff_rng_(options.backoff_seed),
@@ -263,16 +220,7 @@ EngineInstance::EngineInstance(const EngineOptions& options,
   }
   policy_->prepare(workflow_);
 
-  // Full mode keeps the per-job roster and the stored jobstate log; lean
-  // mode never allocates either (the roster alone is ~100 B/job — at 10^7
-  // jobs that is a gigabyte the report cannot afford).
-  if (options_.lean_report) {
-    lean_builder_ = std::make_unique<LeanReportObserver>();
-    bus_.subscribe(lean_builder_.get());
-  } else {
-    builder_ = std::make_unique<RunReportBuilder>(workflow_);
-    bus_.subscribe(builder_.get());
-  }
+  bus_.subscribe(&builder_);
   if (options_.status != nullptr) {
     status_observer_ = std::make_unique<StatusBoardObserver>(*options_.status);
     bus_.subscribe(status_observer_.get());
@@ -653,7 +601,7 @@ RunReport EngineInstance::take_report() {
     throw common::InvalidArgument("EngineInstance::take_report called twice");
   }
   report_taken_ = true;
-  RunReport report = builder_ != nullptr ? builder_->take() : lean_builder_->take();
+  RunReport report = builder_.take();
   report.error = abort_error_;
   return report;
 }

@@ -13,8 +13,8 @@
 //   - a SchedulingPolicy picks which ready job submits next under the
 //     max_jobs_in_flight throttle (default FIFO, byte-identical to the
 //     pre-refactor engine);
-//   - an EventBus (wms/events.hpp) publishes every observable step; the
-//     jobstate log, the StatusBoard and RunReport itself are observers.
+//   - an EventBus (wms/events.hpp) publishes every observable step;
+//     RunReport (jobstate log included) and the StatusBoard are observers.
 //
 // The loop itself lives in EngineInstance, a re-entrant steppable core:
 // run() is a thin drive-to-completion wrapper (`while (step()) {}`), and a
@@ -132,13 +132,12 @@ struct RunReport {
   double total_backoff_seconds = 0;    ///< summed retry cool-off across jobs
   /// Nodes blacklisted during the run, in blacklist order.
   std::vector<std::string> blacklisted_nodes;
-  std::vector<JobRun> runs;       ///< per job, in completion order (empty
+  std::vector<JobRun> runs;       ///< per job, sorted by job id (empty
                                   ///< under EngineOptions::lean_report)
   std::vector<std::string> jobstate_log;  ///< "<t> <job> <EVENT>" lines
                                           ///< (empty under lean_report)
-  /// common::lines_digest of the jobstate log and its line count — filled
-  /// in both modes (streamed in lean mode, computed from the stored log
-  /// otherwise), so double-run identity checks work without the log.
+  /// common::lines_digest of the jobstate log and its line count — streamed
+  /// in both modes, so double-run identity checks work without the log.
   std::uint64_t jobstate_digest = 0;
   std::size_t jobstate_lines = 0;
 
@@ -146,42 +145,32 @@ struct RunReport {
   [[nodiscard]] double wall_seconds() const { return end_time - start_time; }
 };
 
-/// Assembles a RunReport purely from the engine-event stream: counters from
-/// the typed events, per-job attempt records from kAttemptFinished, and the
-/// jobstate log via an embedded JobstateLogObserver. The engine subscribes
-/// one per run; it is public so tests and external replays can feed a
-/// recorded stream through the same accounting.
+/// Assembles a RunReport from the engine-event stream — the one run-
+/// accounting path, serving both report modes. Counters come from the typed
+/// events; each jobstate line is formatted once (format_jobstate_line) and
+/// folded into the streamed FNV-1a digest and the line count as it is
+/// produced. With `keep_records` (the full report) the builder also stores
+/// the line and the per-job attempt roster; without it
+/// (EngineOptions::lean_report) report memory stays O(1) in job count. The
+/// engine subscribes one per run; it is public so tests and external replays
+/// can feed a recorded stream through the same accounting.
 class RunReportBuilder final : public EngineObserver {
  public:
   /// `workflow` provides the job roster (id, transformation, kind) and must
   /// outlive the builder.
-  explicit RunReportBuilder(const ConcreteWorkflow& workflow);
+  RunReportBuilder(const ConcreteWorkflow& workflow, bool keep_records);
   void on_event(const EngineEvent& event) override;
   /// Finalizes and returns the report. Call once, after kRunFinished.
   [[nodiscard]] RunReport take();
 
  private:
   RunReport report_;
-  JobstateLogObserver log_;  ///< writes into report_.jobstate_log
   /// Per-job records indexed by dense handle (EngineEvent::job); take()
-  /// emits them sorted by id, matching the old map iteration order.
+  /// emits them sorted by id. Empty unless keep_records_.
   std::vector<JobRun> runs_;
-};
-
-/// The lean_report counterpart of RunReportBuilder: accumulates the same
-/// scalar counters from the event stream and hashes each jobstate line as
-/// it is formatted (one shared formatter, events.hpp) without storing the
-/// line or any per-job record — report memory stays O(1) in job count.
-class LeanReportObserver final : public EngineObserver {
- public:
-  void on_event(const EngineEvent& event) override;
-  /// Finalizes and returns the report. Call once, after kRunFinished.
-  [[nodiscard]] RunReport take();
-
- private:
-  RunReport report_;
   std::uint64_t digest_ = common::kFnv1aOffset;  ///< streamed line digest
   std::string line_;  ///< format scratch, reused across events
+  bool keep_records_ = true;
 };
 
 /// One re-entrant, steppable engine run: everything the drive-to-completion
@@ -296,9 +285,7 @@ class EngineInstance {
   JobStateMachine fsm_;
   std::unique_ptr<SchedulingPolicy> default_policy_;
   SchedulingPolicy* policy_ = nullptr;
-  /// Exactly one of these is live, chosen by EngineOptions::lean_report.
-  std::unique_ptr<RunReportBuilder> builder_;
-  std::unique_ptr<LeanReportObserver> lean_builder_;
+  RunReportBuilder builder_;
   std::unique_ptr<StatusBoardObserver> status_observer_;
   EventBus bus_;
 

@@ -3,14 +3,15 @@
 // Every observable thing DagmanEngine does — a job released, an attempt
 // submitted or finished, a retry cooled off, a node blacklisted, the run
 // starting or finishing — is published as one EngineEvent on an EventBus.
-// The jobstate log, the StatusBoard, the statistics accumulator and the
-// trace/plot writers are all observers of that one stream (instead of the
-// ad-hoc appends the pre-refactor loop scattered through itself), and
-// RunReport is assembled from the same stream by RunReportBuilder.
+// Two observers ship with the engine: RunReportBuilder (wms/engine.hpp)
+// assembles the RunReport, jobstate log and digest included, and
+// StatusBoardObserver feeds pegasus-status. Every post-run view —
+// WorkflowStatistics, the analyzer, attempts_csv — is a plain function of
+// the finished RunReport, not another observer.
 //
 // Event-emission order is part of the engine's contract: under the default
-// FIFO policy the JobstateLogObserver reproduces the pre-refactor jobstate
-// log byte-for-byte (tests/wms_golden_log_test.cpp pins this).
+// FIFO policy the jobstate lines (format_jobstate_line) reproduce the
+// pre-refactor log byte-for-byte (tests/wms_golden_log_test.cpp pins this).
 #pragma once
 
 #include <cstddef>
@@ -93,24 +94,10 @@ class EventBus {
 
 /// Formats the DAGMan-style jobstate line ("<t> <job> <EVENT>") for
 /// `event` into `line`; returns false (leaving `line` untouched) for event
-/// types that don't produce one. Shared by JobstateLogObserver (which
-/// stores lines) and the engine's lean-report digest (which hashes them
-/// without storing) — one formatter, byte-identical output.
+/// types that don't produce one. Exactly the events the pre-refactor engine
+/// logged become lines: RESCUED, SUBMIT/RETRY, SUCCESS, BACKOFF, FAILED,
+/// TIMEOUT, BLACKLIST <node>. RunReportBuilder calls it once per event.
 bool format_jobstate_line(const EngineEvent& event, std::string& line);
-
-/// Writes DAGMan-style jobstate lines ("<t> <job> <EVENT>") into a sink
-/// vector. Exactly the events the pre-refactor engine logged become lines:
-/// RESCUED, SUBMIT/RETRY, SUCCESS, BACKOFF, FAILED, TIMEOUT,
-/// BLACKLIST <node>; everything else is ignored.
-class JobstateLogObserver final : public EngineObserver {
- public:
-  /// `sink` must outlive the observer.
-  explicit JobstateLogObserver(std::vector<std::string>& sink) : sink_(&sink) {}
-  void on_event(const EngineEvent& event) override;
-
- private:
-  std::vector<std::string>* sink_;
-};
 
 /// Adapts a StatusBoard to the event stream (begin, set_state, retry/
 /// timeout counters, and the data layer's cache-hit and staged-bytes

@@ -11,15 +11,11 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "common/summary.hpp"
 #include "wms/engine.hpp"
-#include "wms/events.hpp"
 
 namespace pga::wms {
-
-class StatisticsAccumulator;
 
 /// Aggregates for one transformation (task type).
 struct TransformationStats {
@@ -98,45 +94,6 @@ class WorkflowStatistics {
   std::uint64_t bytes_staged_ = 0;
   std::size_t transfer_attempts_ = 0;
   std::map<std::string, TransformationStats> per_transformation_;
-
-  friend class StatisticsAccumulator;
-};
-
-/// Builds WorkflowStatistics live from the engine-event stream instead of a
-/// finished RunReport — subscribe via EngineOptions.observers and read
-/// stats() after the run. Produces exactly what from_run would (the
-/// per-job aggregation is finalized on kRunFinished in sorted-job order,
-/// matching from_run's traversal of report.runs). Reusable: kRunStarted
-/// resets all state.
-class StatisticsAccumulator final : public EngineObserver {
- public:
-  void on_event(const EngineEvent& event) override;
-  /// The accumulated statistics; complete once kRunFinished was observed.
-  [[nodiscard]] const WorkflowStatistics& stats() const { return stats_; }
-
- private:
-  /// What we keep per attempt until the run ends (the event's TaskAttempt
-  /// pointer is only valid during the callback).
-  struct AttemptSlice {
-    bool success = false;
-    double exec_seconds = 0;
-    double wait_seconds = 0;
-    double install_seconds = 0;
-    bool install_cache_hit = false;
-    std::uint64_t transferred_bytes = 0;
-    std::size_t transfer_attempts = 0;
-  };
-  struct JobAgg {
-    std::string id;  ///< for the sorted-id finalize traversal
-    std::string transformation;
-    std::vector<AttemptSlice> attempts;
-  };
-
-  /// Dense per-job slots indexed by EngineEvent::job (sized on
-  /// kRunStarted); only jobs that ran have a non-empty attempts list.
-  std::vector<JobAgg> jobs_;
-  double start_time_ = 0;
-  WorkflowStatistics stats_;
 };
 
 }  // namespace pga::wms

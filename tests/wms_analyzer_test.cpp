@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace pga::wms {
 namespace {
 
@@ -168,8 +170,16 @@ TEST(AttemptsCsv, OneRowPerAttemptWithHeader) {
     if (c == '\n') ++lines;
   }
   EXPECT_EQ(lines, 1u + 3u);  // header + a(1) + b(2)
-  EXPECT_NE(csv.find("job,transformation,attempt"), std::string::npos);
-  EXPECT_NE(csv.find("b,tf,2,0,"), std::string::npos);
+  EXPECT_EQ(csv,
+            "job,transformation,attempt,success,node,submit,start,end,wait,"
+            "install,exec\n"
+            "a,tf,1,1,node,0.000,5.000,30.000,5.000,0.000,25.000\n"
+            "b,tf,1,0,node,30.000,35.000,60.000,5.000,0.000,25.000\n"
+            "b,tf,2,0,node,60.000,65.000,100.000,5.000,0.000,35.000\n");
+  // Rows follow job id, not roster order; c never ran and has no row.
+  RunReport reversed = fx.report;
+  std::reverse(reversed.runs.begin(), reversed.runs.end());
+  EXPECT_EQ(attempts_csv(reversed), csv);
 }
 
 }  // namespace

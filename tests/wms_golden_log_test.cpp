@@ -5,10 +5,6 @@
 // refactor; the scenarios are rebuilt here from the same shared builders
 // (tests/wms_test_dags.hpp), so any drift — event order, timestamps,
 // formatting — fails line-by-line with context.
-//
-// The same runs double as live-observer equivalence checks: statistics and
-// traces accumulated from the event stream must match what the post-hoc
-// RunReport paths compute.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -54,43 +50,6 @@ void expect_matches_golden(const RunReport& report, const std::string& name) {
   EXPECT_EQ(report.jobstate_log.size(), expected.size()) << name;
 }
 
-/// Every scenario also validates the event-stream observers against the
-/// post-hoc RunReport paths they replaced.
-void expect_observers_agree(const RunReport& report,
-                            const StatisticsAccumulator& accumulator,
-                            const TraceCollector& live_trace) {
-  const auto reference = WorkflowStatistics::from_run(report);
-  const auto& live = accumulator.stats();
-  EXPECT_EQ(live.success(), reference.success());
-  EXPECT_EQ(live.jobs(), reference.jobs());
-  EXPECT_EQ(live.attempts(), reference.attempts());
-  EXPECT_EQ(live.retries(), reference.retries());
-  EXPECT_EQ(live.failed_jobs(), reference.failed_jobs());
-  EXPECT_EQ(live.timed_out_attempts(), reference.timed_out_attempts());
-  EXPECT_EQ(live.blacklisted_nodes(), reference.blacklisted_nodes());
-  EXPECT_DOUBLE_EQ(live.wall_seconds(), reference.wall_seconds());
-  EXPECT_DOUBLE_EQ(live.cumulative_kickstart(), reference.cumulative_kickstart());
-  EXPECT_DOUBLE_EQ(live.cumulative_badput(), reference.cumulative_badput());
-  EXPECT_DOUBLE_EQ(live.cumulative_waiting(), reference.cumulative_waiting());
-  EXPECT_DOUBLE_EQ(live.cumulative_install(), reference.cumulative_install());
-  EXPECT_DOUBLE_EQ(live.total_backoff_seconds(), reference.total_backoff_seconds());
-  // The rendered summaries cover the per-transformation distributions.
-  EXPECT_EQ(live.render("x"), reference.render("x"));
-  EXPECT_EQ(live_trace.csv(), attempts_csv(report));
-  EXPECT_EQ(live_trace.attempt_count(), report.total_attempts);
-}
-
-/// Observer bundle every scenario threads through EngineOptions.observers.
-struct LiveObservers {
-  StatisticsAccumulator statistics;
-  TraceCollector trace;
-
-  void attach(EngineOptions& options) {
-    options.observers.push_back(&statistics);
-    options.observers.push_back(&trace);
-  }
-};
-
 TEST(GoldenLog, SandhillsN10MatchesPreRefactorEngine) {
   const core::WorkloadModel workload;
   const core::B2c3WorkflowSpec spec{.n = 10};
@@ -102,14 +61,10 @@ TEST(GoldenLog, SandhillsN10MatchesPreRefactorEngine) {
   config.seed = 11;
   sim::CampusClusterPlatform platform(queue, config);
   SimService service(queue, platform);
-  EngineOptions options;
-  LiveObservers live;
-  live.attach(options);
-  DagmanEngine engine(std::move(options));
+  DagmanEngine engine;
   const auto report = engine.run(concrete, service);
   ASSERT_TRUE(report.success);
   expect_matches_golden(report, "sandhills_n10.log");
-  expect_observers_agree(report, live.statistics, live.trace);
 }
 
 TEST(GoldenLog, OsgN10MatchesPreRefactorEngine) {
@@ -124,19 +79,16 @@ TEST(GoldenLog, OsgN10MatchesPreRefactorEngine) {
   SimService service(queue, platform);
   EngineOptions options;
   options.retries = 100;
-  LiveObservers live;
-  live.attach(options);
   DagmanEngine engine(std::move(options));
   const auto report = engine.run(concrete, service);
   ASSERT_TRUE(report.success);
   expect_matches_golden(report, "osg_n10.log");
-  expect_observers_agree(report, live.statistics, live.trace);
 }
 
 /// Paper-scale scenario: plans blast2cap3 at `n` for `site` and runs it on
 /// the platform the pre-PR fixtures were recorded with. Checks the
-/// jobstate log byte-for-byte, the rendered statistics against the .stats
-/// fixture, and the live observers against the post-hoc paths.
+/// jobstate log byte-for-byte and the rendered statistics against the
+/// .stats fixture.
 void run_paper_scale_scenario(const std::string& site, std::size_t n) {
   const core::WorkloadModel workload;
   const core::B2c3WorkflowSpec spec{.n = n};
@@ -171,8 +123,6 @@ void run_paper_scale_scenario(const std::string& site, std::size_t n) {
     options.retries = 100;
   }
   SimService service(queue, *platform);
-  LiveObservers live;
-  live.attach(options);
   DagmanEngine engine(std::move(options));
   const auto report = engine.run(concrete, service);
   ASSERT_TRUE(report.success);
@@ -182,7 +132,6 @@ void run_paper_scale_scenario(const std::string& site, std::size_t n) {
   EXPECT_EQ(WorkflowStatistics::from_run(report).render("golden"),
             common::read_file(golden_path(stem + ".stats")))
       << stem << ".stats";
-  expect_observers_agree(report, live.statistics, live.trace);
 }
 
 TEST(GoldenLog, SandhillsN100MatchesPreReworkEngine) {
@@ -212,13 +161,9 @@ TEST(GoldenLog, ChaosSeed42MatchesPreRefactorEngine) {
   sim::CampusClusterPlatform platform(queue, config);
   SimService sim_service(queue, platform);
   FaultyService faulty(sim_service, FaultPlan().chaos(testing::chaos_for(42)));
-  auto options = testing::hardened_options();
-  LiveObservers live;
-  live.attach(options);
-  DagmanEngine engine(std::move(options));
+  DagmanEngine engine(testing::hardened_options());
   const auto report = engine.run(testing::random_dag(42), faulty);
   expect_matches_golden(report, "chaos_42.log");
-  expect_observers_agree(report, live.statistics, live.trace);
 }
 
 TEST(GoldenLog, ExplicitFifoAndNullPolicyAreIdentical) {
@@ -397,24 +342,101 @@ TEST(PatternedDag, StreamedExplicitModeAlsoMatchesPlannerPath) {
   EXPECT_EQ(streamed.graph().pattern_edge_count(), 0u);
 }
 
+/// Lean and full reports of one run must agree on everything the lean
+/// report keeps. The full report's jobs_succeeded must also equal its
+/// roster tally (succeeded and not rescued), the rule the per-job records
+/// imply.
+void expect_lean_matches_full(const RunReport& lean, const RunReport& full,
+                              const std::string& label) {
+  EXPECT_TRUE(lean.jobstate_log.empty()) << label;
+  EXPECT_TRUE(lean.runs.empty()) << label;
+  EXPECT_EQ(full.jobstate_digest, common::lines_digest(full.jobstate_log)) << label;
+  EXPECT_EQ(full.jobstate_lines, full.jobstate_log.size()) << label;
+  EXPECT_EQ(lean.jobstate_digest, full.jobstate_digest) << label;
+  EXPECT_EQ(lean.jobstate_lines, full.jobstate_lines) << label;
+  std::size_t roster_succeeded = 0;
+  for (const JobRun& run : full.runs) {
+    if (run.succeeded && !run.skipped_by_rescue) ++roster_succeeded;
+  }
+  EXPECT_EQ(full.jobs_succeeded, roster_succeeded) << label;
+  EXPECT_EQ(lean.jobs_total, full.jobs_total) << label;
+  EXPECT_EQ(lean.jobs_succeeded, full.jobs_succeeded) << label;
+  EXPECT_EQ(lean.jobs_failed, full.jobs_failed) << label;
+  EXPECT_EQ(lean.jobs_skipped, full.jobs_skipped) << label;
+  EXPECT_EQ(lean.total_attempts, full.total_attempts) << label;
+  EXPECT_EQ(lean.total_retries, full.total_retries) << label;
+  EXPECT_EQ(lean.timed_out_attempts, full.timed_out_attempts) << label;
+  EXPECT_DOUBLE_EQ(lean.total_backoff_seconds, full.total_backoff_seconds) << label;
+  EXPECT_EQ(lean.blacklisted_nodes, full.blacklisted_nodes) << label;
+  EXPECT_DOUBLE_EQ(lean.end_time, full.end_time) << label;
+  EXPECT_EQ(lean.success, full.success) << label;
+}
+
+/// The chaos suite's scenario for `seed` (random DAG on 4 campus slots)
+/// under `plan`; `rescue_from` resumes from a rescue file.
+RunReport run_chaos(std::uint64_t seed, bool lean, FaultPlan plan,
+                    const EngineOptions& base,
+                    const std::filesystem::path* rescue_from = nullptr) {
+  sim::EventQueue queue;
+  sim::CampusClusterConfig config;
+  config.allocated_slots = 4;
+  config.seed = seed;
+  sim::CampusClusterPlatform platform(queue, config);
+  SimService sim_service(queue, platform);
+  FaultyService faulty(sim_service, std::move(plan));
+  EngineOptions options = base;
+  options.lean_report = lean;
+  DagmanEngine engine(std::move(options));
+  const auto workflow = testing::random_dag(seed);
+  return rescue_from != nullptr ? engine.run_rescue(workflow, faulty, *rescue_from)
+                                : engine.run(workflow, faulty);
+}
+
 TEST(PatternedDag, LeanReportStreamsTheSameDigestAndCounters) {
   for (const std::string site : {"sandhills", "osg"}) {
     const auto concrete = workload::plan_shape(b2c3_spec(100, true), site);
     const auto full = run_concrete(concrete, /*lean=*/false);
     const auto lean = run_concrete(concrete, /*lean=*/true);
     ASSERT_TRUE(full.success);
-    EXPECT_TRUE(lean.jobstate_log.empty());
-    EXPECT_TRUE(lean.runs.empty());
-    EXPECT_EQ(full.jobstate_digest, common::lines_digest(full.jobstate_log));
-    EXPECT_EQ(lean.jobstate_digest, full.jobstate_digest) << site;
-    EXPECT_EQ(lean.jobstate_lines, full.jobstate_log.size());
-    EXPECT_EQ(lean.jobs_total, full.jobs_total);
-    EXPECT_EQ(lean.jobs_succeeded, full.jobs_succeeded);
-    EXPECT_EQ(lean.total_attempts, full.total_attempts);
-    EXPECT_EQ(lean.total_retries, full.total_retries);
-    EXPECT_DOUBLE_EQ(lean.end_time, full.end_time);
-    EXPECT_EQ(lean.success, full.success);
+    expect_lean_matches_full(lean, full, site);
   }
+
+  // Chaos: retries, backoff, attempt timeouts and a node blacklist (seed 7
+  // trips all four; the golden seed 42 never blacklists).
+  {
+    const auto plan = [] { return FaultPlan().chaos(testing::chaos_for(7)); };
+    const auto full = run_chaos(7, false, plan(), testing::hardened_options());
+    const auto lean = run_chaos(7, true, plan(), testing::hardened_options());
+    EXPECT_GT(full.total_retries, 0u);
+    EXPECT_GT(full.total_backoff_seconds, 0.0);
+    EXPECT_GT(full.timed_out_attempts, 0u);
+    EXPECT_FALSE(full.blacklisted_nodes.empty());
+    expect_lean_matches_full(lean, full, "chaos");
+  }
+
+  // A poisoned job fails the run; the rescue run resumes from its frontier.
+  common::ScratchDir dir("lean-rescue");
+  const auto poisoned = [] {
+    return FaultPlan().always_fail("j12", "poisoned").chaos(testing::chaos_for(42));
+  };
+  const auto resumed = [] { return FaultPlan().chaos(testing::chaos_for(43)); };
+  std::vector<RunReport> failed;
+  std::vector<RunReport> rescued;
+  for (const bool lean : {false, true}) {
+    auto options = testing::hardened_options();
+    options.rescue_path = dir.file(lean ? "lean.rescue" : "full.rescue");
+    failed.push_back(run_chaos(42, lean, poisoned(), options));
+    options.rescue_path.reset();
+    const std::filesystem::path rescue = dir.file(lean ? "lean.rescue" : "full.rescue");
+    rescued.push_back(run_chaos(42, lean, resumed(), options, &rescue));
+  }
+  EXPECT_FALSE(failed[0].success);
+  EXPECT_GT(failed[0].jobs_failed, 0u);
+  EXPECT_GT(rescued[0].jobs_skipped, 0u);
+  EXPECT_EQ(common::read_file(dir.file("lean.rescue")),
+            common::read_file(dir.file("full.rescue")));
+  expect_lean_matches_full(failed[1], failed[0], "poisoned");
+  expect_lean_matches_full(rescued[1], rescued[0], "rescue");
 }
 
 TEST(GoldenLog, ShapeDiamondPlansPinTheCostModelBytes) {
