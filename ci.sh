@@ -104,10 +104,35 @@ build/bench/trigger_bench --smoke --out build/BENCH_trigger_smoke.json
 # break it without touching the main build. Each run builds on demand into
 # .bench_build/, checks its outputs (completion, closed-form job counts,
 # digest identity across passes and replicas) and exits non-zero on any
-# failed check. The leg gates on that exit code only, never on a timing.
-echo "==> perfbench (fleet-backlog, dag-large, assembly; exit code only)"
+# failed check. The leg also pins each seed-7919 output digest (the
+# "digest" field of the report line): no optimisation may change the bytes
+# a workload produces. It never gates on a timing.
+echo "==> perfbench (fleet-backlog, dag-large, assembly; exit code + pinned digests)"
+declare -A pinned_digest=(
+  [fleet-backlog]=79c98d0377c24a7a
+  [dag-large]=b285d496b8d52720
+  [assembly]=472d8818c3ba0c0f
+)
 for workload in fleet-backlog dag-large assembly; do
-  python3 perfbench/run.py --workload "${workload}" --seed 7919 --seconds 2 --trace 0
+  # Captured for the digest, so print it on failure too: the per-check
+  # report on stdout says which check failed.
+  output="$(python3 perfbench/run.py --workload "${workload}" --seed 7919 --seconds 2 --trace 0)" ||
+    { echo "${output}"; exit 1; }
+  echo "${output}"
+  digest="$(python3 -c '
+import json, sys
+for line in sys.stdin:
+    try:
+        report = json.loads(line)
+    except ValueError:
+        continue
+    if isinstance(report, dict) and "digest" in report:
+        print(report["digest"])
+' <<<"${output}")"
+  if [[ "${digest}" != "${pinned_digest[${workload}]}" ]]; then
+    echo "perfbench ${workload}: digest '${digest}' != pinned ${pinned_digest[${workload}]}" >&2
+    exit 1
+  fi
 done
 
-echo "==> CI OK (default + asan/ubsan + tsan + perf smokes + perfbench)"
+echo "==> CI OK (default + asan/ubsan + tsan + perf smokes + perfbench digests)"

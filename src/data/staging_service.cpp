@@ -23,6 +23,12 @@ StagingService::StagingService(sim::EventQueue& queue, wms::ExecutionService& in
   }
 }
 
+StagingService::~StagingService() {
+  if (inbox_->outstanding == 0) return;
+  inbox_->orphaned = true;
+  queue_.retain(std::move(inbox_));
+}
+
 void StagingService::submit(const wms::ConcreteJob& job) {
   const bool staging_job = (job.kind == wms::JobKind::kStageIn ||
                             job.kind == wms::JobKind::kStageOut) &&
@@ -36,7 +42,7 @@ void StagingService::submit(const wms::ConcreteJob& job) {
 }
 
 void StagingService::stage(const wms::ConcreteJob& job) {
-  ++own_outstanding_;
+  ++inbox_->outstanding;
   ++staged_jobs_;
   auto staging = std::make_shared<StagingJob>();
   staging->job_id = job.id;
@@ -56,7 +62,7 @@ void StagingService::stage(const wms::ConcreteJob& job) {
       bypassed_bytes_ += element.held_bytes(lfn);
       ++bypassed_files_;
       element.touch(lfn);
-      if (--staging->remaining == 0) complete(staging);
+      if (--staging->remaining == 0) complete(*inbox_, *staging);
       continue;
     }
     std::string source = inbound ? config_.submit_site : exec_site;
@@ -73,7 +79,7 @@ void StagingService::stage(const wms::ConcreteJob& job) {
       if (replica.has_value() && replica->size_bytes > 0) bytes = replica->size_bytes;
     }
     transfers_.transfer(lfn, bytes, source, dest,
-                        [this, staging](const TransferResult& result) {
+                        [inbox = inbox_.get(), staging](const TransferResult& result) {
                           if (staging->first_start < 0 ||
                               result.start_time < staging->first_start) {
                             staging->first_start = result.start_time;
@@ -89,45 +95,46 @@ void StagingService::stage(const wms::ConcreteJob& job) {
                               staging->error = result.lfn + ": " + result.failure;
                             }
                           }
-                          if (--staging->remaining == 0) complete(staging);
+                          if (--staging->remaining == 0) complete(*inbox, *staging);
                         });
   }
 }
 
-void StagingService::complete(const std::shared_ptr<StagingJob>& staging) {
+void StagingService::complete(wms::CompletionInbox& inbox, const StagingJob& staging) {
+  --inbox.outstanding;
+  if (inbox.orphaned) return;
   wms::TaskAttempt attempt;
-  attempt.job_id = staging->job_id;
-  attempt.transformation = staging->transformation;
-  attempt.success = staging->all_ok;
-  attempt.error = staging->error;
-  attempt.node = staging->site + "-se";
-  attempt.submit_time = staging->submit_time;
+  attempt.job_id = staging.job_id;
+  attempt.transformation = staging.transformation;
+  attempt.success = staging.all_ok;
+  attempt.error = staging.error;
+  attempt.node = staging.site + "-se";
+  attempt.submit_time = staging.submit_time;
   // A job whose every file was bypassed never ran a transfer, leaving
   // last_end at 0 — clamp to the submit instant so time never runs
   // backwards in the attempt record.
-  attempt.end_time = std::max(staging->last_end, staging->submit_time);
+  attempt.end_time = std::max(staging.last_end, staging.submit_time);
   const double start =
-      staging->first_start < 0 ? staging->submit_time : staging->first_start;
-  attempt.wait_seconds = start - staging->submit_time;
+      staging.first_start < 0 ? staging.submit_time : staging.first_start;
+  attempt.wait_seconds = start - staging.submit_time;
   attempt.exec_seconds = attempt.end_time - start;
-  attempt.transferred_bytes = staging->bytes;
-  attempt.transfer_attempts = staging->attempts;
-  completed_.push_back(std::move(attempt));
-  --own_outstanding_;
+  attempt.transferred_bytes = staging.bytes;
+  attempt.transfer_attempts = staging.attempts;
+  inbox.completed.push_back(std::move(attempt));
 }
 
 std::vector<wms::TaskAttempt> StagingService::drain() {
   // wait_for(0) drains the inner service's finished attempts (and lets it
   // run events already due at the current instant) without advancing time.
   // It must run BEFORE our own queue is snapshotted: stepping those
-  // same-instant events can finish our transfers and push into completed_.
+  // same-instant events can finish our transfers and push into the inbox.
   std::vector<wms::TaskAttempt> out;
   for (auto& attempt : inner_.wait_for(0)) {
     --inner_outstanding_;
     out.push_back(std::move(attempt));
   }
-  for (auto& attempt : completed_) out.push_back(std::move(attempt));
-  completed_.clear();
+  for (auto& attempt : inbox_->completed) out.push_back(std::move(attempt));
+  inbox_->completed.clear();
   return out;
 }
 
@@ -135,7 +142,7 @@ std::vector<wms::TaskAttempt> StagingService::wait() {
   for (;;) {
     auto out = drain();
     if (!out.empty()) return out;
-    if (own_outstanding_ == 0 && inner_outstanding_ == 0) return {};
+    if (inbox_->outstanding == 0 && inner_outstanding_ == 0) return {};
     if (queue_.step()) continue;
     if (inner_outstanding_ > 0) {
       // No queue event can make progress, but the inner service still owes
@@ -144,7 +151,7 @@ std::vector<wms::TaskAttempt> StagingService::wait() {
       auto held = inner_.wait();
       for (auto& attempt : held) {
         --inner_outstanding_;
-        completed_.push_back(std::move(attempt));
+        inbox_->completed.push_back(std::move(attempt));
       }
       if (!held.empty()) continue;
     }

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -52,10 +51,16 @@ class StagingService final : public wms::ExecutionService {
   StagingService(sim::EventQueue& queue, wms::ExecutionService& inner,
                  TransferManager& transfers, const wms::ReplicaCatalog& replicas,
                  StagingConfig config = {});
+  ~StagingService() override;
+  StagingService(const StagingService&) = delete;
+  StagingService& operator=(const StagingService&) = delete;
 
   void submit(const wms::ConcreteJob& job) override;
   std::vector<wms::TaskAttempt> wait() override;
   std::vector<wms::TaskAttempt> wait_for(double timeout_seconds) override;
+  [[nodiscard]] bool has_output() override {
+    return !inbox_->completed.empty() || inner_.has_output();
+  }
   void avoid_node(const std::string& node) override { inner_.avoid_node(node); }
   double now() override { return queue_.now(); }
   [[nodiscard]] double next_event_time() override {
@@ -87,7 +92,7 @@ class StagingService final : public wms::ExecutionService {
   };
 
   void stage(const wms::ConcreteJob& job);
-  void complete(const std::shared_ptr<StagingJob>& staging);
+  static void complete(wms::CompletionInbox& inbox, const StagingJob& staging);
   /// Everything finished so far: own staged attempts + the inner
   /// service's, drained without advancing time.
   std::vector<wms::TaskAttempt> drain();
@@ -98,8 +103,9 @@ class StagingService final : public wms::ExecutionService {
   const wms::ReplicaCatalog& replicas_;
   StagingConfig config_;
 
-  std::deque<wms::TaskAttempt> completed_;
-  std::size_t own_outstanding_ = 0;
+  /// Finished staging jobs (see wms::CompletionInbox).
+  std::unique_ptr<wms::CompletionInbox> inbox_ =
+      std::make_unique<wms::CompletionInbox>();
   std::size_t inner_outstanding_ = 0;
   std::size_t staged_jobs_ = 0;
   std::size_t bypassed_files_ = 0;

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -52,6 +53,12 @@ class EventQueue {
   /// Returns the number of events processed.
   std::size_t run(std::size_t max_events = 100'000'000);
 
+  /// Keeps `object` alive as long as the queue. For state that pending
+  /// events still write into after its owner is gone: a service torn down
+  /// while its attempts keep running on a shared platform hands its inbox
+  /// here, so their completions land in memory that still exists.
+  void retain(std::shared_ptr<void> object) { retained_.push_back(std::move(object)); }
+
   /// Pre-sizes event storage; one allocation for a known-scale run.
   void reserve(std::size_t events) { events_.reserve(events); }
 
@@ -83,6 +90,7 @@ class EventQueue {
   std::uint64_t sequence_ = 0;
   std::uint64_t processed_ = 0;
   std::vector<Event> events_;  ///< binary min-heap under Later
+  std::vector<std::shared_ptr<void>> retained_;  ///< see retain()
 };
 
 }  // namespace pga::sim

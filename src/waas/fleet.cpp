@@ -49,6 +49,9 @@ struct FleetController::Active {
   std::unique_ptr<data::StagingService> staging;
   std::unique_ptr<wms::FaultyService> faulty;
   std::unique_ptr<wms::EngineInstance> engine;
+  /// engine->next_deadline() as of admission or the engine's last step; it
+  /// only changes inside a step, so quiet rounds fence on this copy.
+  double deadline = std::numeric_limits<double>::infinity();
 };
 
 FleetController::FleetController(sim::EventQueue& queue, FleetOptions options)
@@ -111,9 +114,6 @@ double FleetController::tenant_deficit(std::size_t tenant) const {
 }
 
 void FleetController::admit(const workload::WorkflowRequest& request) {
-  if (request.tenant >= options_.tenants) {
-    throw common::InvalidArgument("fleet: request tenant out of range");
-  }
   // Placement: whichever platform carries fewer of the fleet's in-flight
   // jobs takes the workflow; ties go to the campus cluster (its queue is
   // the better-behaved of the two).
@@ -184,6 +184,7 @@ void FleetController::admit(const workload::WorkflowRequest& request) {
   telemetry_.record_admission(active->tenant);
   active->engine = std::make_unique<wms::EngineInstance>(
       engine_options, *active->workflow, *service);
+  active->deadline = active->engine->next_deadline();
   ++tenant_active_[active->tenant];
   active_.push_back(std::move(active));
 }
@@ -241,14 +242,22 @@ FleetResult FleetController::run(
   outcomes.reserve(requests.size());
   std::vector<std::size_t> tenant_budget(options_.tenants, 0);
 
+  // Checked on entry so the admission scan never reads tenant_deficit out
+  // of range (source-synthesized requests are not validated above).
+  const auto enqueue = [&](workload::WorkflowRequest request) {
+    if (request.tenant >= options_.tenants) {
+      throw common::InvalidArgument("fleet: request tenant out of range");
+    }
+    due.push_back(std::move(request));
+  };
   const auto admit_due = [&] {
     while (next_arrival < requests.size() &&
            requests[next_arrival].arrival_seconds <= queue_.now() + kEps) {
-      due.push_back(requests[next_arrival++]);
+      enqueue(requests[next_arrival++]);
     }
     if (source != nullptr) {
       for (auto& request : source->poll(queue_.now() + kEps)) {
-        due.push_back(std::move(request));
+        enqueue(std::move(request));
       }
     }
     while (!due.empty() && (options_.max_active_workflows == 0 ||
@@ -267,6 +276,13 @@ FleetResult FleetController::run(
       admit(pick);
     }
   };
+  // Whether a shared-queue event is due at exactly now(). Any poll runs
+  // such events, and which engine runs them decides who sees a completion
+  // this round, so while one is pending every engine steps.
+  const auto event_due_now = [&] {
+    const auto next = queue_.next_time();
+    return next.has_value() && *next <= queue_.now();
+  };
 
   // Steps one engine under `grant` and settles the in-flight ledgers.
   const auto step_engine = [&](Active& active, std::size_t grant,
@@ -274,6 +290,7 @@ FleetResult FleetController::run(
     telemetry_.set_tenant(active.tenant);
     const std::size_t before = active.engine->jobs_in_flight();
     const bool progress = active.engine->step_cooperative(grant);
+    active.deadline = active.engine->next_deadline();
     const std::size_t after = active.engine->jobs_in_flight();
     if (after >= before) {
       const std::size_t delta = after - before;
@@ -334,10 +351,15 @@ FleetResult FleetController::run(
       }
     }
 
+    // Wake-driven pass in admission order: an engine is stepped only when
+    // the step could change something — its own wake conditions
+    // (EngineInstance::can_progress) or a queue event due now, which its
+    // poll would run. Skipping the rest leaves every byte as it was.
     bool progress = false;
     for (auto& active : active_) {
       const std::size_t grant =
           capped ? std::min(tenant_budget[active->tenant], headroom) : kUnlimited;
+      if (!event_due_now() && !active->engine->can_progress(grant)) continue;
       progress |= step_engine(*active, grant, headroom);
     }
     // Work-conserving second pass: leftover headroom goes to whoever has
@@ -362,11 +384,9 @@ FleetResult FleetController::run(
 
     // Quiet round: nobody could submit or consume. Advance the shared
     // timeline — but never past the earliest engine deadline (backoff
-    // release / attempt timeout) or the next arrival.
+    // release / attempt timeout / held completion) or the next arrival.
     double fence = std::numeric_limits<double>::infinity();
-    for (const auto& active : active_) {
-      fence = std::min(fence, active->engine->next_deadline());
-    }
+    for (const auto& active : active_) fence = std::min(fence, active->deadline);
     if (next_arrival < requests.size()) {
       fence = std::min(fence, requests[next_arrival].arrival_seconds);
     }

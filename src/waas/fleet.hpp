@@ -16,9 +16,13 @@
 //     pipeline) for whichever platform currently carries fewer of the
 //     fleet's in-flight jobs (ties go to the campus cluster);
 //   * execution: engines are stepped cooperatively — step_cooperative()
-//     never blocks, the controller owns the clock and only advances it to
-//     the earliest engine deadline / arrival / platform event, so 10k
-//     interleaved workflows stay exactly as deterministic as one;
+//     never blocks, and a round steps an engine only when it can make
+//     progress (EngineInstance::can_progress) or a queue event is due at
+//     the current instant, which its poll would run; skipping the others
+//     changes no byte. The controller owns the clock and only advances it
+//     to the earliest engine deadline (stored after each step) / arrival /
+//     platform event, so 10k interleaved workflows stay exactly as
+//     deterministic as one;
 //   * fair-share submission: a fleet-wide jobs-in-flight cap is split
 //     into per-tenant budgets proportional to weight each scheduling
 //     round, with a second work-conserving pass granting leftover

@@ -484,6 +484,13 @@ double EngineInstance::next_deadline() {
   return std::min(wait_horizon(), service_.next_event_time());
 }
 
+bool EngineInstance::can_progress(std::size_t grant) {
+  if (finished_) return false;
+  if ((fsm_.has_ready() && grant > 0) || quiescent()) return true;
+  // release_due and expire_due use the same kEps test against now().
+  return wait_horizon() <= service_.now() + kEps || service_.has_output();
+}
+
 bool EngineInstance::step() {
   if (finished_) return false;
   submit_ready(std::numeric_limits<std::size_t>::max());
@@ -553,7 +560,7 @@ bool EngineInstance::step_cooperative(std::size_t submit_budget) {
   // Quiescent only when no work is queued either: unlike the blocking
   // step(), a zero/exhausted budget can leave ready jobs unsubmitted
   // here, and that is back-pressure, not completion.
-  if (fsm_.submitted_count() == 0 && !fsm_.any_cooling() && !fsm_.has_ready()) {
+  if (quiescent()) {
     finalize();
     return true;  // reaching the terminal state is progress
   }

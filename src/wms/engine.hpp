@@ -226,6 +226,16 @@ class EngineInstance {
   /// True once the run has reached its terminal state.
   [[nodiscard]] bool is_done() const { return finished_; }
 
+  /// Whether step_cooperative(grant) could change anything right now
+  /// without a shared-queue event running first: ready jobs and a non-zero
+  /// grant, a due backoff release (due even at grant 0 — releasing late
+  /// would reorder the ready queue), a due attempt deadline, a quiescent
+  /// run that must finalize, or output waiting in the service
+  /// (ExecutionService::has_output). False on a finished run. When it is
+  /// false and no queue event is due at the service's now(), a step would
+  /// do nothing, so a cooperative driver may skip it.
+  [[nodiscard]] bool can_progress(std::size_t grant);
+
   /// Finalizes and returns the report. Call once, after is_done(); throws
   /// InvalidArgument otherwise.
   RunReport take_report();
@@ -259,6 +269,10 @@ class EngineInstance {
   void inflight_add(std::uint32_t index, double at);
   void inflight_remove(std::uint32_t index);
   [[nodiscard]] bool throttled() const;
+  /// Nothing in flight, cooling or ready: the cooperative run is over.
+  [[nodiscard]] bool quiescent() const {
+    return fsm_.submitted_count() == 0 && !fsm_.any_cooling() && !fsm_.has_ready();
+  }
   [[nodiscard]] double next_backoff(int attempts);
   void submit_job(std::size_t position);
   /// Loop head: release due backoffs, then submit ready jobs under the

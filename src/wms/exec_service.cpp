@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -82,15 +83,25 @@ double LocalService::now() { return clock_.seconds(); }
 SimService::SimService(sim::EventQueue& queue, sim::ExecutionPlatform& platform)
     : queue_(queue), platform_(platform) {}
 
+SimService::~SimService() {
+  if (inbox_->outstanding == 0) return;
+  inbox_->orphaned = true;
+  queue_.retain(std::move(inbox_));
+}
+
 void SimService::submit(const ConcreteJob& job) {
-  ++outstanding_;
+  ++inbox_->outstanding;
   sim::SimJob sim_job;
   sim_job.id = job.id;
   sim_job.transformation = job.transformation;
   sim_job.cpu_seconds = job.cpu_seconds_hint;
   sim_job.needs_software_setup = job.needs_software_setup;
   sim_job.software_bytes = job.software_bytes;
-  platform_.submit(sim_job, [this](const sim::AttemptResult& result) {
+  // A bare pointer keeps the callback inside std::function's small buffer;
+  // the inbox outlives it (see ~SimService).
+  platform_.submit(sim_job, [inbox = inbox_.get()](const sim::AttemptResult& result) {
+    --inbox->outstanding;
+    if (inbox->orphaned) return;
     TaskAttempt attempt;
     attempt.job_id = result.job_id;
     attempt.transformation = result.transformation;
@@ -103,15 +114,14 @@ void SimService::submit(const ConcreteJob& job) {
     attempt.install_seconds = result.install_seconds;
     attempt.exec_seconds = result.exec_seconds;
     attempt.install_cache_hit = result.install_cache_hit;
-    completed_.push_back(std::move(attempt));
-    --outstanding_;
+    inbox->completed.push_back(std::move(attempt));
   });
 }
 
 void SimService::pump(std::optional<double> deadline) {
   if (!deadline.has_value()) {
     // Advance simulated time until at least one completion lands.
-    while (completed_.empty() && outstanding_ > 0) {
+    while (inbox_->completed.empty() && inbox_->outstanding > 0) {
       if (!queue_.step()) {
         throw common::WorkflowError(
             "simulation deadlock: outstanding jobs but no pending events");
@@ -119,12 +129,12 @@ void SimService::pump(std::optional<double> deadline) {
     }
     return;
   }
-  while (completed_.empty()) {
+  while (inbox_->completed.empty()) {
     const auto next = queue_.next_time();
     if (!next.has_value() || *next > *deadline) break;
     queue_.step();
   }
-  if (completed_.empty()) {
+  if (inbox_->completed.empty()) {
     // Nothing landed by the deadline: burn the remaining simulated time so
     // the engine's clock reaches it (even when nothing is scheduled at all,
     // e.g. every outstanding attempt was swallowed by a fault injector).
@@ -133,10 +143,7 @@ void SimService::pump(std::optional<double> deadline) {
 }
 
 std::vector<TaskAttempt> SimService::take_completed() {
-  std::vector<TaskAttempt> out(std::make_move_iterator(completed_.begin()),
-                               std::make_move_iterator(completed_.end()));
-  completed_.clear();
-  return out;
+  return std::exchange(inbox_->completed, {});
 }
 
 std::vector<TaskAttempt> SimService::wait() {

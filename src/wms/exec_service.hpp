@@ -46,6 +46,18 @@ struct TaskAttempt {
   std::size_t transfer_attempts = 0;    ///< transfer tries incl. retries
 };
 
+/// Where a simulated service's platform or transfer callbacks deliver
+/// finished attempts. An attempt can outlive its service (written off by an
+/// engine timeout, then its workflow torn down), so a service destroyed
+/// with attempts outstanding marks its inbox orphaned and hands it to the
+/// event queue (sim::EventQueue::retain); late completions then only count
+/// down `outstanding` and are dropped, so nothing accumulates there.
+struct CompletionInbox {
+  std::vector<TaskAttempt> completed;
+  std::size_t outstanding = 0;  ///< submitted, callback not yet run
+  bool orphaned = false;        ///< its service is gone
+};
+
 /// Completion-pump interface. The engine calls submit() for ready jobs and
 /// wait() to collect finished attempts; implementations choose their own
 /// notion of time (wall seconds or simulation seconds).
@@ -78,6 +90,14 @@ class ExecutionService {
   /// The default maps to wait_for(0), which every implementation treats as
   /// "deliver what is due at exactly the current time, then return".
   virtual std::vector<TaskAttempt> poll() { return wait_for(0); }
+
+  /// Side-effect-free: whether poll() could return anything without
+  /// running a queue event — a completion already delivered, or one held
+  /// back and now due. False promises that, with no shared-queue event due
+  /// at now(), poll() returns empty and changes nothing, which is what
+  /// lets a cooperative driver skip the engine. The default (true) is the
+  /// conservative answer for services that cannot tell.
+  [[nodiscard]] virtual bool has_output() { return true; }
 
   /// Earliest future instant (in this service's time base) at which a
   /// poll() might yield something that no shared-event-queue event
@@ -142,10 +162,14 @@ class SimService final : public ExecutionService {
  public:
   /// `queue` must outlive the service and be the platform's queue.
   SimService(sim::EventQueue& queue, sim::ExecutionPlatform& platform);
+  ~SimService() override;
+  SimService(const SimService&) = delete;
+  SimService& operator=(const SimService&) = delete;
 
   void submit(const ConcreteJob& job) override;
   std::vector<TaskAttempt> wait() override;
   std::vector<TaskAttempt> wait_for(double timeout_seconds) override;
+  [[nodiscard]] bool has_output() override { return !inbox_->completed.empty(); }
   void avoid_node(const std::string& node) override { platform_.avoid_node(node); }
   double now() override;
   [[nodiscard]] std::string label() const override { return platform_.name(); }
@@ -155,13 +179,12 @@ class SimService final : public ExecutionService {
   /// once the next event lies past it and burns the remaining simulated
   /// time; without one, throws on deadlock (outstanding jobs, no events).
   void pump(std::optional<double> deadline);
-  /// Moves everything accumulated in completed_ out.
+  /// Moves everything accumulated in the inbox out.
   std::vector<TaskAttempt> take_completed();
 
   sim::EventQueue& queue_;
   sim::ExecutionPlatform& platform_;
-  std::deque<TaskAttempt> completed_;
-  std::size_t outstanding_ = 0;
+  std::unique_ptr<CompletionInbox> inbox_ = std::make_unique<CompletionInbox>();
 };
 
 }  // namespace pga::wms

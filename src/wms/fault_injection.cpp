@@ -242,6 +242,12 @@ std::vector<TaskAttempt> FaultyService::poll() {
   return take_due();
 }
 
+bool FaultyService::has_output() {
+  // The same release test take_due() applies.
+  return !due_.empty() || inner_.has_output() ||
+         (!held_.empty() && earliest_release() <= inner_.now() + kEps);
+}
+
 std::vector<TaskAttempt> FaultyService::wait_for(double timeout_seconds) {
   const double deadline = inner_.now() + std::max(0.0, timeout_seconds);
   while (true) {

@@ -130,6 +130,9 @@ class FaultyService final : public ExecutionService {
   /// before ever consulting the inner service, which strands completions
   /// when an external clock owner (the WaaS fleet) pumps the queue.
   std::vector<TaskAttempt> poll() override;
+  /// A synthesized failure waiting in due_, an inner completion, or a held
+  /// delayed completion whose release time has come.
+  [[nodiscard]] bool has_output() override;
   void avoid_node(const std::string& node) override { inner_.avoid_node(node); }
   double now() override { return inner_.now(); }
   /// Delayed completions are parked in held_, invisible to any event

@@ -1,8 +1,9 @@
 // Fleet-controller suite: multi-tenant WaaS over one shared clock.
 // Covers completion/accounting invariants, weighted fair share (equal
 // weights finish together; 3:1 weights yield ~3:1 throughput), cap
-// enforcement, dual-platform placement, staging composition, chaos, and
-// double-run byte identity (the fleet digest).
+// enforcement, dual-platform placement, staging composition, chaos,
+// double-run byte identity and literal pinned values of the fleet digest,
+// and a reaped workflow's written-off attempt completing after teardown.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -258,6 +259,135 @@ TEST(FleetController, EmptyRequestStreamIsANoop) {
   EXPECT_EQ(result.outcomes.size(), 0u);
   EXPECT_EQ(result.p50_makespan_seconds, 0.0);
   EXPECT_FALSE(result.render().empty());
+}
+
+/// A Poisson stream of ~120 workflows over all six shapes, three weighted
+/// tenants, a job cap and a workflow cap, with staging and chaos
+/// fail/delay/corrupt plus jittered retry backoff. `hangs` adds chaos hangs
+/// and an attempt timeout; `blacklist` adds node blacklisting on top.
+struct PinnedFleet {
+  FleetOptions options;
+  std::vector<workload::WorkflowRequest> requests;
+};
+
+PinnedFleet pinned_fleet(bool hangs, bool blacklist) {
+  workload::ArrivalParams params;
+  params.count = 120;
+  params.tenants = 3;
+  params.mean_interarrival_seconds = 30;
+  params.seed = 2024;
+  params.shapes.clear();
+  for (const workload::Shape shape : workload::all_shapes()) {
+    params.shapes.push_back(spec_of(shape, 6, 11));
+  }
+
+  PinnedFleet fleet;
+  fleet.requests = workload::generate_arrivals(params);
+  FleetOptions& options = fleet.options;
+  options.seed = 77;
+  options.tenants = 3;
+  options.tenant_weights = {3.0, 2.0, 1.0};
+  options.max_jobs_in_flight = 48;
+  options.max_active_workflows = 16;
+  options.model_staging = true;
+  options.engine.retries = 10;
+  options.engine.backoff_base_seconds = 30;
+  options.engine.backoff_jitter = 0.5;
+  wms::ChaosConfig chaos;
+  chaos.fail_probability = 0.08;
+  chaos.delay_probability = 0.08;
+  chaos.corrupt_probability = 0.05;
+  chaos.max_delay_seconds = 150;
+  if (hangs) {
+    chaos.hang_probability = 0.03;
+    // Long enough that no timed-out attempt is still running when its
+    // workflow is reaped (that path has its own test below).
+    options.engine.attempt_timeout_seconds = 50'000;
+  }
+  if (blacklist) options.engine.node_blacklist_threshold = 2;
+  options.chaos = chaos;
+  return fleet;
+}
+
+// The fleet digest pins the whole interleaving: any change to which engine
+// steps when, or to what a step consumes, moves it. The literals are those
+// of a round that steps every live engine, so skipping engines that cannot
+// progress must leave them as they are. Backoff, attempt timeouts and
+// blacklisting each add a wake source the benchmark's fleet workload never
+// exercises.
+TEST(FleetController, PinnedDigestWithStagingChaosAndBackoff) {
+  const PinnedFleet fleet = pinned_fleet(false, false);
+  const FleetResult result = run_fleet(fleet.options, fleet.requests);
+  EXPECT_EQ(result.workflows_completed, 120u);
+  EXPECT_EQ(result.digest, 0xfda7b44847f56aacULL);
+  EXPECT_EQ(result.events_processed, 3213u);
+}
+
+TEST(FleetController, PinnedDigestWithHangsAndAttemptTimeouts) {
+  const PinnedFleet fleet = pinned_fleet(true, false);
+  const FleetResult result = run_fleet(fleet.options, fleet.requests);
+  EXPECT_EQ(result.workflows_completed, 120u);
+  EXPECT_EQ(result.digest, 0x7dddddabd362ee4eULL);
+  EXPECT_EQ(result.events_processed, 3296u);
+}
+
+TEST(FleetController, PinnedDigestWithNodeBlacklisting) {
+  const PinnedFleet fleet = pinned_fleet(true, true);
+  const FleetResult result = run_fleet(fleet.options, fleet.requests);
+  EXPECT_EQ(result.workflows_completed, 120u);
+  EXPECT_EQ(result.digest, 0x89a2f88c3050f3d5ULL);
+  EXPECT_EQ(result.events_processed, 3296u);
+}
+
+// Two identical fans on one campus platform with a fixed dispatch latency
+// and node speed finish their jobs at the same instants. With pump_batch 1
+// a quiet round runs only workflow 0's completion, so workflow 1's, due at
+// the same instant, is still queued when the next round starts. Workflow 1
+// must step in that round even though its inbox is empty: if it waited,
+// workflow 0's work-conserving step would run the event inside its own
+// poll, workflow 1 would see the completion a round late, and the budget
+// split under the job cap would change. The literals are those of a round
+// that steps every live engine.
+TEST(FleetController, PinnedDigestWithCompletionsAtOneInstant) {
+  auto requests = burst_requests(2, 1, spec_of(workload::Shape::kFan, 3, 5));
+  for (auto& request : requests) request.spec.seed = 5;  // identical costs
+  FleetOptions options;
+  options.tenants = 1;
+  options.dual_platform = false;
+  options.pump_batch = 1;
+  options.max_jobs_in_flight = 4;
+  options.campus.dispatch_mu = 0;
+  options.campus.dispatch_sigma = 0;
+  options.campus.node_speed_min = 1.0;
+  options.campus.node_speed_max = 1.0;
+  const FleetResult result = run_fleet(options, requests);
+  EXPECT_EQ(result.workflows_succeeded, 2u);
+  EXPECT_EQ(result.digest, 0xf9313f0a36e58b96ULL);
+  EXPECT_EQ(result.events_processed, 14u);
+}
+
+TEST(FleetController, ReapedWorkflowsTimedOutAttemptFinishingLaterIsDropped) {
+  // Workflow 0's first attempt outlives its 1 s timeout; with no retries
+  // the workflow fails and is reaped while that attempt still runs on the
+  // shared platform. Its completion lands long before workflow 1 arrives
+  // and must not touch the destroyed service stack.
+  for (const bool staging : {false, true}) {
+    SCOPED_TRACE(staging ? "staging" : "flat stage jobs");
+    auto requests = burst_requests(2, 1, spec_of(workload::Shape::kChain, 3, 31));
+    requests[1].arrival_seconds = 1e6;
+    FleetOptions options;
+    options.tenants = 1;
+    options.dual_platform = false;
+    options.model_staging = staging;
+    options.engine.retries = 0;
+    options.engine.attempt_timeout_seconds = 1;
+    const FleetResult result = run_fleet(options, requests);
+    ASSERT_EQ(result.outcomes.size(), 2u);
+    EXPECT_EQ(result.workflows_completed, 2u);
+    EXPECT_EQ(result.outcomes[0].index, 0u);
+    EXPECT_FALSE(result.outcomes[0].success);
+    EXPECT_EQ(result.outcomes[1].index, 1u);
+  }
 }
 
 TEST(FleetController, RendersASummary)

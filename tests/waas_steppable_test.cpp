@@ -2,7 +2,7 @@
 // DagmanEngine::run() byte-for-byte when driven with step(), (b) let two
 // engines interleave on one shared EventQueue without perturbing either
 // run, and (c) expose the non-blocking cooperative face (step_cooperative,
-// poll, next_deadline) the WaaS fleet controller is built on.
+// poll, next_deadline, has_output) the WaaS fleet controller is built on.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "data/staging_service.hpp"
+#include "data/transfer_manager.hpp"
 #include "sim/campus_cluster.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/osg.hpp"
@@ -19,6 +21,7 @@
 #include "wms/exec_service.hpp"
 #include "wms/fault_injection.hpp"
 #include "workload/generator.hpp"
+#include "wms_test_dags.hpp"
 
 namespace pga::wms {
 namespace {
@@ -281,6 +284,120 @@ TEST(SteppableEngine, PollDefaultHarvestsWithoutAdvancingClock) {
   const double before = queue.now();
   EXPECT_TRUE(as_interface.poll().empty());  // completion lies in the future
   EXPECT_DOUBLE_EQ(queue.now(), before);     // poll never advances the clock
+}
+
+// ------------------------------------------------- has_output() contract
+
+/// With has_output() false and no queue event due at now(), poll() must
+/// return nothing and leave the queue and the clock untouched — the
+/// promise the fleet relies on to skip an engine.
+void expect_quiet_poll_changes_nothing(sim::EventQueue& queue,
+                                       ExecutionService& service) {
+  const auto next = queue.next_time();
+  if (service.has_output() || (next.has_value() && *next <= queue.now())) return;
+  const std::uint64_t processed = queue.processed();
+  const double now = queue.now();
+  EXPECT_TRUE(service.poll().empty());
+  EXPECT_EQ(queue.processed(), processed);
+  EXPECT_EQ(queue.now(), now);
+}
+
+/// Steps the queue one event at a time, checking the contract before each
+/// step, until has_output() turns true; then harvests with poll().
+std::vector<TaskAttempt> step_until_output(sim::EventQueue& queue,
+                                           ExecutionService& service) {
+  while (!service.has_output()) {
+    expect_quiet_poll_changes_nothing(queue, service);
+    if (!queue.step()) {
+      ADD_FAILURE() << "queue drained without output";
+      return {};
+    }
+  }
+  return service.poll();
+}
+
+/// SimService, Staging(Sim) and Faulty(Staging(Sim)) over one platform.
+struct ServiceStacks {
+  sim::EventQueue queue;
+  sim::CampusClusterPlatform platform{queue, {}};
+  SimService sim{queue, platform};
+  data::TransferManager transfers{queue, {}};
+  ReplicaCatalog replicas = testing::staging_heavy_replicas(2);
+  data::StagingService staging{queue, sim, transfers, replicas,
+                               data::StagingConfig{.execution_site = "osg"}};
+  ConcreteWorkflow workflow = testing::staging_heavy_dag(2);
+
+  const ConcreteJob& job(const std::string& id) const {
+    return workflow.job_at(workflow.ids().find(id));
+  }
+};
+
+TEST(HasOutput, TurnsTrueOnADeliveredPlatformCompletion) {
+  ServiceStacks s;
+  EXPECT_FALSE(s.sim.has_output());
+  s.sim.submit(s.job("run_cap3_0"));
+  const auto out = step_until_output(s.queue, s.sim);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].job_id, "run_cap3_0");
+  EXPECT_FALSE(s.sim.has_output());
+}
+
+TEST(HasOutput, TurnsTrueOnAFinishedTransfer) {
+  ServiceStacks s;
+  EXPECT_FALSE(s.staging.has_output());
+  s.staging.submit(s.job("stage_in_0"));
+  const auto out = step_until_output(s.queue, s.staging);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].job_id, "stage_in_0");
+  EXPECT_GT(out[0].transferred_bytes, 0u);
+  EXPECT_FALSE(s.staging.has_output());
+  // A compute job passes through; its platform completion wakes the stack.
+  s.staging.submit(s.job("run_cap3_1"));
+  const auto passed = step_until_output(s.queue, s.staging);
+  ASSERT_EQ(passed.size(), 1u);
+  EXPECT_EQ(passed[0].job_id, "run_cap3_1");
+}
+
+TEST(HasOutput, TurnsTrueOnASynthesizedChaosFailure) {
+  ServiceStacks s;
+  ChaosConfig chaos;
+  chaos.fail_probability = 1.0;
+  FaultyService faulty(s.staging, FaultPlan().chaos(chaos));
+  EXPECT_FALSE(faulty.has_output());
+  const std::uint64_t processed = s.queue.processed();
+  faulty.submit(s.job("run_cap3_0"));
+  EXPECT_TRUE(faulty.has_output());  // due_ holds it; no event has run
+  EXPECT_EQ(s.queue.processed(), processed);
+  const auto out = faulty.poll();
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_FALSE(out[0].success);
+  EXPECT_EQ(out[0].error, "chaos failure");
+  EXPECT_FALSE(faulty.has_output());
+  expect_quiet_poll_changes_nothing(s.queue, faulty);
+}
+
+TEST(HasOutput, TurnsTrueOnAHeldDelayedCompletionAtItsRelease) {
+  ServiceStacks s;
+  FaultyService faulty(s.staging, FaultPlan().delay("run_cap3_0", 1, 500));
+  faulty.submit(s.job("run_cap3_0"));
+  // The inner completion wakes the stack, but poll() parks it.
+  EXPECT_TRUE(step_until_output(s.queue, faulty).empty());
+  EXPECT_FALSE(faulty.has_output());
+  const double release = faulty.next_event_time();
+  ASSERT_FALSE(std::isinf(release));
+  EXPECT_GT(release, s.queue.now());
+  while (s.queue.next_time().has_value() && *s.queue.next_time() < release) {
+    expect_quiet_poll_changes_nothing(s.queue, faulty);
+    s.queue.step();
+  }
+  expect_quiet_poll_changes_nothing(s.queue, faulty);
+  s.queue.advance_to(release);
+  EXPECT_TRUE(faulty.has_output());
+  const auto out = faulty.poll();
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].job_id, "run_cap3_0");
+  EXPECT_TRUE(out[0].success);
+  EXPECT_FALSE(faulty.has_output());
 }
 
 }  // namespace
