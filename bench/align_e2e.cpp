@@ -37,6 +37,7 @@
 #include "align/sw.hpp"
 #include "assembly/cap3.hpp"
 #include "b2c3/cluster.hpp"
+#include "bench_util.hpp"
 #include "bio/alphabet.hpp"
 #include "bio/transcriptome.hpp"
 #include "common/rng.hpp"
@@ -45,11 +46,9 @@
 namespace {
 
 using namespace pga;
+using bench::peak_rss_bytes;
+using bench::seconds_since;
 using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 /// Cores this process may actually run on (the affinity mask, not the
 /// machine's nominal core count) — the honest denominator for any
@@ -63,21 +62,6 @@ unsigned host_cores() {
   }
 #endif
   return std::max(1u, std::thread::hardware_concurrency());
-}
-
-/// Peak resident set size (VmHWM) in bytes; 0 if /proc is unavailable.
-std::size_t peak_rss_bytes() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      std::istringstream is(line.substr(6));
-      std::size_t kb = 0;
-      is >> kb;
-      return kb * 1024;
-    }
-  }
-  return 0;
 }
 
 std::string random_protein(std::size_t n, common::Rng& rng) {

@@ -40,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "common/error.hpp"
 #include "common/strings.hpp"
 #include "common/thread_pool.hpp"
@@ -52,26 +53,8 @@
 namespace {
 
 using namespace pga;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-/// Peak resident set size (VmHWM) in bytes; 0 if /proc is unavailable.
-std::size_t peak_rss_bytes() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      std::istringstream is(line.substr(6));
-      std::size_t kb = 0;
-      is >> kb;
-      return kb * 1024;
-    }
-  }
-  return 0;
-}
+using bench::peak_rss_bytes;
+using bench::seconds_since;
 
 /// Makes the next point's VmHWM reading its own: returns freed arenas to
 /// the OS and resets the kernel's high-water mark. Both are best-effort —

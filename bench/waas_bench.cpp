@@ -21,10 +21,10 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "common/error.hpp"
 #include "common/strings.hpp"
 #include "sim/event_queue.hpp"
@@ -34,27 +34,8 @@
 namespace {
 
 using namespace pga;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-/// Peak resident set size (VmHWM) in bytes; 0 if /proc is unavailable.
-/// Process-wide high-water mark: run points smallest-first.
-std::size_t peak_rss_bytes() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      std::istringstream is(line.substr(6));
-      std::size_t kb = 0;
-      is >> kb;
-      return kb * 1024;
-    }
-  }
-  return 0;
-}
+using bench::peak_rss_bytes;
+using bench::seconds_since;
 
 constexpr std::size_t kTenants = 4;
 const std::vector<double> kWeights{4.0, 2.0, 1.0, 1.0};

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 CI: configure, build and run the tier-1 suite three times —
-#   1. default (Release-ish) build in build/
+#   1. default (Release-ish) build in build/, with -Werror: the default
+#      build is warning-free and stays that way (the perf smokes below
+#      reuse this tree, so the bench harnesses are held to it too)
 #   2. ASan+UBSan build (-DPGA_SANITIZE=address) in build-asan/, catching
 #      lifetime bugs in the event-observer wiring (borrowed EngineObserver
 #      pointers, the kAttemptFinished result pointer that is only valid
@@ -28,7 +30,7 @@ run_suite() {
   ctest --test-dir "${dir}" -L tier1 --timeout 300 --output-on-failure -j "${jobs}"
 }
 
-run_suite build
+run_suite build -DCMAKE_CXX_FLAGS=-Werror
 run_suite build-asan -DPGA_SANITIZE=address
 run_suite build-tsan -DPGA_SANITIZE=thread
 

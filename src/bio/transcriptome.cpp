@@ -1,7 +1,6 @@
 #include "bio/transcriptome.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "bio/alphabet.hpp"
 #include "bio/codon.hpp"
@@ -13,12 +12,12 @@ namespace pga::bio {
 namespace {
 
 std::string zero_padded(std::string_view prefix, std::size_t value, int width = 4) {
-  std::ostringstream os;
-  os << prefix;
-  std::string digits = std::to_string(value);
-  while (digits.size() < static_cast<std::size_t>(width)) digits.insert(0, "0");
-  os << digits;
-  return os.str();
+  const std::string digits = std::to_string(value);
+  const auto wide = static_cast<std::size_t>(width);
+  std::string out(prefix);
+  if (digits.size() < wide) out.append(wide - digits.size(), '0');
+  out += digits;
+  return out;
 }
 
 std::string random_dna(std::size_t length, common::Rng& rng) {

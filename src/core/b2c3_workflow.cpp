@@ -25,8 +25,8 @@ AbstractWorkflow build_blast2cap3_dax(const B2c3WorkflowSpec& spec,
     AbstractJob job;
     job.id = "create_transcripts_list";
     job.transformation = "create_list";
-    job.args = {spec.transcripts_lfn};
-    job.uses = {{spec.transcripts_lfn, LinkType::kInput},
+    job.args = {kTranscriptsLfn};
+    job.uses = {{kTranscriptsLfn, LinkType::kInput},
                 {"transcripts_dict.txt", LinkType::kOutput}};
     job.cpu_seconds_hint = cost(params.create_list_seconds);
     wf.add_job(std::move(job));
@@ -36,8 +36,8 @@ AbstractWorkflow build_blast2cap3_dax(const B2c3WorkflowSpec& spec,
     AbstractJob job;
     job.id = "create_alignments_list";
     job.transformation = "create_list";
-    job.args = {spec.alignments_lfn};
-    job.uses = {{spec.alignments_lfn, LinkType::kInput},
+    job.args = {kAlignmentsLfn};
+    job.uses = {{kAlignmentsLfn, LinkType::kInput},
                 {"alignments_list.txt", LinkType::kOutput}};
     job.cpu_seconds_hint = cost(params.create_list_seconds);
     wf.add_job(std::move(job));
@@ -108,7 +108,7 @@ AbstractWorkflow build_blast2cap3_dax(const B2c3WorkflowSpec& spec,
     job.transformation = "final_merge";
     job.uses = {{"joined.fasta", LinkType::kInput},
                 {"unjoined.fasta", LinkType::kInput},
-                {spec.output_lfn, LinkType::kOutput}};
+                {kAssemblyLfn, LinkType::kOutput}};
     job.cpu_seconds_hint = cost(params.final_merge_seconds);
     wf.add_job(std::move(job));
   }
@@ -134,13 +134,13 @@ wms::TransformationCatalog paper_transformation_catalog() {
   return tc;
 }
 
-wms::ReplicaCatalog paper_replica_catalog(const B2c3WorkflowSpec& spec) {
+wms::ReplicaCatalog paper_replica_catalog(const B2c3WorkflowSpec& /*spec*/) {
   wms::ReplicaCatalog rc;
   // §V.A: transcripts.fasta is 404 MB, alignments.out is 155 MB.
-  rc.add(spec.transcripts_lfn,
-         {"/data/" + spec.transcripts_lfn, "local", 404ull * 1024 * 1024});
-  rc.add(spec.alignments_lfn,
-         {"/data/" + spec.alignments_lfn, "local", 155ull * 1024 * 1024});
+  rc.add(kTranscriptsLfn,
+         {std::string("/data/") + kTranscriptsLfn, "local", 404ull * 1024 * 1024});
+  rc.add(kAlignmentsLfn,
+         {std::string("/data/") + kAlignmentsLfn, "local", 155ull * 1024 * 1024});
   return rc;
 }
 

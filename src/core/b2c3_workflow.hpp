@@ -10,7 +10,6 @@
 #include <cstddef>
 #include <string>
 
-#include "b2c3/cluster.hpp"
 #include "core/workload.hpp"
 #include "wms/catalog.hpp"
 #include "wms/dax.hpp"
@@ -18,15 +17,14 @@
 
 namespace pga::core {
 
+/// The workflow's external inputs and its final output (logical names).
+inline constexpr char kTranscriptsLfn[] = "transcripts.fasta";
+inline constexpr char kAlignmentsLfn[] = "alignments.out";
+inline constexpr char kAssemblyLfn[] = "assembly.fasta";
+
 /// Parameters of the workflow instance.
 struct B2c3WorkflowSpec {
   std::size_t n = 300;  ///< number of clusters of transcripts ("n" in §VI)
-  std::string transcripts_lfn = "transcripts.fasta";
-  std::string alignments_lfn = "alignments.out";
-  std::string output_lfn = "assembly.fasta";
-  /// Clustering rule the run_cap3 tasks apply; the split task picks the
-  /// matching atomic partitioning automatically.
-  b2c3::ClusterPolicy policy = b2c3::ClusterPolicy::kBestHit;
 };
 
 /// Builds the abstract blast2cap3 workflow with cost hints drawn from

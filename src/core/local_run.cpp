@@ -19,9 +19,7 @@ LocalRunResult run_blast2cap3_locally(const fs::path& transcripts_fasta,
     throw common::InvalidArgument("workspace does not exist: " +
                                   config.workspace.string());
   }
-  B2c3WorkflowSpec spec;
-  spec.n = config.n;
-  spec.policy = config.policy;
+  const B2c3WorkflowSpec spec{.n = config.n};
   const auto dax = build_blast2cap3_dax(spec, /*workload=*/nullptr);
   const auto concrete = plan_for_site(dax, "sandhills", spec);
 
@@ -30,9 +28,9 @@ LocalRunResult run_blast2cap3_locally(const fs::path& transcripts_fasta,
 
   const auto runner = [&, spec](const wms::ConcreteJob& job) {
     if (job.kind == wms::JobKind::kStageIn) {
-      fs::copy_file(transcripts_fasta, lfn(spec.transcripts_lfn),
+      fs::copy_file(transcripts_fasta, lfn(kTranscriptsLfn),
                     fs::copy_options::overwrite_existing);
-      fs::copy_file(alignments_out, lfn(spec.alignments_lfn),
+      fs::copy_file(alignments_out, lfn(kAlignmentsLfn),
                     fs::copy_options::overwrite_existing);
       return;
     }
@@ -40,18 +38,18 @@ LocalRunResult run_blast2cap3_locally(const fs::path& transcripts_fasta,
       return;  // outputs already live in the workspace
     }
     if (job.transformation == "create_list") {
-      if (job.args.at(0) == spec.transcripts_lfn) {
-        b2c3::make_transcript_dict(lfn(spec.transcripts_lfn),
+      if (job.args.at(0) == kTranscriptsLfn) {
+        b2c3::make_transcript_dict(lfn(kTranscriptsLfn),
                                    lfn("transcripts_dict.txt"));
       } else {
-        b2c3::make_alignment_list(lfn(spec.alignments_lfn),
+        b2c3::make_alignment_list(lfn(kAlignmentsLfn),
                                   lfn("alignments_list.txt"));
       }
       return;
     }
     if (job.transformation == "split_alignments") {
       b2c3::split_alignment_file(lfn("alignments_list.txt"), ws, spec.n, "protein",
-                                 spec.policy);
+                                 config.policy);
       return;
     }
     if (job.transformation == "run_cap3") {
@@ -63,7 +61,7 @@ LocalRunResult run_blast2cap3_locally(const fs::path& transcripts_fasta,
       b2c3::run_cap3_chunk(lfn("transcripts_dict.txt"), lfn(chunk_file),
                            lfn("joined_" + index + ".fasta"),
                            lfn("members_" + index + ".txt"), "c" + index,
-                           config.assembly, spec.policy);
+                           config.assembly, config.policy);
       return;
     }
     if (job.transformation == "merge_joined") {
@@ -84,7 +82,7 @@ LocalRunResult run_blast2cap3_locally(const fs::path& transcripts_fasta,
     }
     if (job.transformation == "final_merge") {
       b2c3::concat_final(lfn("joined.fasta"), lfn("unjoined.fasta"),
-                         lfn(spec.output_lfn));
+                         lfn(kAssemblyLfn));
       return;
     }
     throw common::WorkflowError("no local binding for transformation " +
@@ -98,7 +96,7 @@ LocalRunResult run_blast2cap3_locally(const fs::path& transcripts_fasta,
   LocalRunResult result;
   result.report = engine.run(concrete, service);
   result.stats = wms::WorkflowStatistics::from_run(result.report);
-  result.output = lfn(spec.output_lfn);
+  result.output = lfn(kAssemblyLfn);
   // Provenance, like the real stack leaves behind in the submit
   // directory: one kickstart invocation record per attempt, plus the
   // DAGMan jobstate log.

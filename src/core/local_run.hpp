@@ -10,6 +10,7 @@
 #include <filesystem>
 
 #include "assembly/cap3.hpp"
+#include "b2c3/cluster.hpp"
 #include "core/b2c3_workflow.hpp"
 #include "wms/engine.hpp"
 #include "wms/statistics.hpp"

@@ -13,21 +13,14 @@ using common::InvalidArgument;
 using common::WorkflowError;
 
 ConcreteWorkflow::ConcreteWorkflow(std::string name, std::string site)
-    : name_(std::move(name)), site_(std::move(site)) {}
+    : WorkflowBase(std::move(name)), site_(std::move(site)) {}
 
 std::uint32_t ConcreteWorkflow::add_job(ConcreteJob job) {
   if (bulk_open_) {
     throw InvalidArgument("add_job during an open bulk build");
   }
-  if (job.id.empty()) throw InvalidArgument("concrete job id must not be empty");
-  if (ids_.contains(job.id)) {
-    throw InvalidArgument("duplicate concrete job: " + job.id);
-  }
-  const std::uint32_t handle = ids_.intern(job.id);  // == jobs_.size(): dense
-  job.index = handle;
-  jobs_.push_back(std::move(job));
-  graph_.add_node();
-  return handle;
+  job.index = static_cast<std::uint32_t>(jobs_.size());
+  return append(std::move(job));
 }
 
 ConcreteJob* ConcreteWorkflow::begin_bulk(std::size_t count) {
@@ -48,108 +41,16 @@ void ConcreteWorkflow::finish_bulk() {
       throw InvalidArgument("bulk job " + std::to_string(i) + " has no id");
     }
     if (ids_.intern(job.id) != i) {
-      throw InvalidArgument("duplicate concrete job: " + job.id);
+      throw InvalidArgument("duplicate job id: " + job.id);
     }
     job.index = i;
   }
   graph_.set_node_count(jobs_.size());
 }
 
-void ConcreteWorkflow::add_dependency(const std::string& parent,
-                                      const std::string& child) {
-  const std::uint32_t p = ids_.find(parent);
-  const std::uint32_t c = ids_.find(child);
-  if (p == IdTable::kInvalid) throw InvalidArgument("unknown parent: " + parent);
-  if (c == IdTable::kInvalid) throw InvalidArgument("unknown child: " + child);
-  add_dependency(p, c);
-}
-
 void ConcreteWorkflow::add_dependency(std::uint32_t parent, std::uint32_t child) {
-  if (parent >= jobs_.size()) {
-    throw InvalidArgument("unknown parent handle: " + std::to_string(parent));
-  }
-  if (child >= jobs_.size()) {
-    throw InvalidArgument("unknown child handle: " + std::to_string(child));
-  }
-  if (parent == child) throw WorkflowError("self-dependency on " + jobs_[parent].id);
+  check_edge(parent, child);
   graph_.add_edge(parent, child, ids_);
-}
-
-void ConcreteWorkflow::add_edge_pattern(const EdgePattern& pattern) {
-  graph_.add_pattern(pattern, ids_);
-}
-
-const ConcreteJob& ConcreteWorkflow::job(const std::string& id) const {
-  return jobs_[job_index(id)];
-}
-
-ConcreteJob& ConcreteWorkflow::mutable_job(const std::string& id) {
-  return jobs_[job_index(id)];
-}
-
-bool ConcreteWorkflow::has_job(const std::string& id) const {
-  return ids_.contains(id);
-}
-
-std::uint32_t ConcreteWorkflow::job_index(const std::string& id) const {
-  const std::uint32_t handle = ids_.find(id);
-  if (handle == IdTable::kInvalid) {
-    throw InvalidArgument("unknown concrete job: " + id);
-  }
-  return handle;
-}
-
-const ConcreteJob& ConcreteWorkflow::job_at(std::uint32_t index) const {
-  if (index >= jobs_.size()) {
-    throw InvalidArgument("unknown concrete job handle: " + std::to_string(index));
-  }
-  return jobs_[index];
-}
-
-std::vector<std::uint32_t> ConcreteWorkflow::parents_of(
-    std::uint32_t index) const {
-  if (index >= jobs_.size()) {
-    throw InvalidArgument("unknown concrete job handle: " + std::to_string(index));
-  }
-  return graph_.parents_sorted(index, ids_);
-}
-
-std::vector<std::uint32_t> ConcreteWorkflow::children_of(
-    std::uint32_t index) const {
-  if (index >= jobs_.size()) {
-    throw InvalidArgument("unknown concrete job handle: " + std::to_string(index));
-  }
-  return graph_.children_sorted(index, ids_);
-}
-
-std::vector<std::string> ConcreteWorkflow::parents(const std::string& id) const {
-  const std::uint32_t index = job_index(id);
-  std::vector<std::string> out;
-  out.reserve(graph_.parent_count(index));
-  graph_.for_each_parent(index, ids_,
-                         [&](std::uint32_t h) { out.emplace_back(ids_.name(h)); });
-  return out;
-}
-
-std::vector<std::string> ConcreteWorkflow::children(const std::string& id) const {
-  const std::uint32_t index = job_index(id);
-  std::vector<std::string> out;
-  out.reserve(graph_.child_count(index));
-  graph_.for_each_child(index, ids_,
-                        [&](std::uint32_t h) { out.emplace_back(ids_.name(h)); });
-  return out;
-}
-
-std::vector<std::uint32_t> ConcreteWorkflow::topological_order_indices() const {
-  return graph_.topological_order(ids_, "concrete workflow " + name_);
-}
-
-std::vector<std::string> ConcreteWorkflow::topological_order() const {
-  const auto indices = topological_order_indices();
-  std::vector<std::string> order;
-  order.reserve(indices.size());
-  for (const std::uint32_t h : indices) order.emplace_back(ids_.name(h));
-  return order;
 }
 
 std::string_view ConcreteWorkflow::abstract_id_of(std::uint32_t index) const {
@@ -160,7 +61,7 @@ std::string_view ConcreteWorkflow::abstract_id_of(std::uint32_t index) const {
 
 std::vector<std::string> ConcreteWorkflow::constituents_of(
     std::uint32_t index) const {
-  (void)job_at(index);  // bounds check
+  check_handle(index);
   const auto it = constituents_.find(index);
   if (it == constituents_.end()) return {};
   return it->second;
@@ -168,14 +69,8 @@ std::vector<std::string> ConcreteWorkflow::constituents_of(
 
 void ConcreteWorkflow::set_constituents(std::uint32_t index,
                                         std::vector<std::string> members) {
-  (void)job_at(index);  // bounds check
+  check_handle(index);
   constituents_[index] = std::move(members);
-}
-
-void ConcreteWorkflow::reserve(std::size_t job_count, std::size_t id_bytes) {
-  jobs_.reserve(job_count);
-  ids_.reserve(job_count, id_bytes);
-  graph_.reserve(job_count);
 }
 
 std::size_t ConcreteWorkflow::count(JobKind kind) const {

@@ -12,13 +12,11 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "wms/catalog.hpp"
 #include "wms/dax.hpp"
-#include "wms/edge_pattern.hpp"
-#include "wms/id_table.hpp"
+#include "wms/workflow_base.hpp"
 
 namespace pga::wms {
 
@@ -56,21 +54,23 @@ struct ConcreteJob {
   bool needs_software_setup = false;
 };
 
-/// A planned workflow bound to a site.
-class ConcreteWorkflow {
+/// A planned workflow bound to a site. The job arena, ids, graph and read
+/// API are WorkflowBase's; this class adds handle stamping, bulk intake,
+/// the site and the clustering side table.
+class ConcreteWorkflow : public WorkflowBase<ConcreteWorkflow, ConcreteJob> {
  public:
   ConcreteWorkflow(std::string name, std::string site);
 
-  /// Adds a job and returns its dense handle (== position in jobs()).
+  /// Adds a job, stamps ConcreteJob::index and returns its dense handle
+  /// (== position in jobs()). Throws InvalidArgument on an empty or
+  /// duplicate id or inside an open bulk build.
   std::uint32_t add_job(ConcreteJob job);
-  void add_dependency(const std::string& parent, const std::string& child);
+
+  using WorkflowBase::add_dependency;
   /// Handle-based edge insertion — no id lookups, for bulk graph builds.
+  /// Duplicates are ignored; no cycle check (the planner copies edges of a
+  /// validated abstract workflow).
   void add_dependency(std::uint32_t parent, std::uint32_t child);
-  /// O(1)-storage arithmetic edge family; see WorkflowGraph::add_pattern.
-  void add_edge_pattern(const EdgePattern& pattern);
-  [[nodiscard]] const std::vector<EdgePattern>& edge_patterns() const {
-    return graph_.patterns();
-  }
 
   // ------------------------------------------------------- streamed build
   /// Bulk job intake: default-constructs `count` jobs and returns the
@@ -82,50 +82,11 @@ class ConcreteWorkflow {
   ConcreteJob* begin_bulk(std::size_t count);
   void finish_bulk();
 
-  [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const std::string& site() const { return site_; }
-  [[nodiscard]] const std::vector<ConcreteJob>& jobs() const { return jobs_; }
-  [[nodiscard]] const ConcreteJob& job(const std::string& id) const;
   /// Mutable access (the planner adjusts flags after structural edits).
-  [[nodiscard]] ConcreteJob& mutable_job(const std::string& id);
-  [[nodiscard]] bool has_job(const std::string& id) const;
-  /// Dense index of `id` within jobs() (the scheduler core keys its per-job
-  /// state by this). Throws InvalidArgument for unknown ids.
-  [[nodiscard]] std::uint32_t job_index(const std::string& id) const;
-  /// jobs()[index], bounds-checked; the engine's hot path submits by handle.
-  [[nodiscard]] const ConcreteJob& job_at(std::uint32_t index) const;
-  /// The job-id interner; handle h names jobs()[h].id.
-  [[nodiscard]] const IdTable& ids() const { return ids_; }
-  /// Parent/child handles of `index`, each list sorted by the neighbour's
-  /// id (materialized — use for_each_*/counts on hot paths).
-  [[nodiscard]] std::vector<std::uint32_t> parents_of(std::uint32_t index) const;
-  [[nodiscard]] std::vector<std::uint32_t> children_of(std::uint32_t index) const;
-  [[nodiscard]] std::size_t parent_count(std::uint32_t index) const {
-    return graph_.parent_count(index);
+  [[nodiscard]] ConcreteJob& mutable_job(const std::string& id) {
+    return jobs_[job_index(id)];
   }
-  [[nodiscard]] std::size_t child_count(std::uint32_t index) const {
-    return graph_.child_count(index);
-  }
-  /// Visits children/parents of `index` in neighbour-name order without
-  /// materializing a list (the engine's release path).
-  template <typename Fn>
-  void for_each_child(std::uint32_t index, Fn&& fn) const {
-    graph_.for_each_child(index, ids_, std::forward<Fn>(fn));
-  }
-  template <typename Fn>
-  void for_each_parent(std::uint32_t index, Fn&& fn) const {
-    graph_.for_each_parent(index, ids_, std::forward<Fn>(fn));
-  }
-  /// counts[i] = parent_count(i) in one bulk sweep (engine seed).
-  void fill_parent_counts(std::vector<std::uint32_t>& counts) const {
-    graph_.fill_parent_counts(counts);
-  }
-  [[nodiscard]] const WorkflowGraph& graph() const { return graph_; }
-  [[nodiscard]] std::vector<std::uint32_t> topological_order_indices() const;
-  [[nodiscard]] std::vector<std::string> parents(const std::string& id) const;
-  [[nodiscard]] std::vector<std::string> children(const std::string& id) const;
-  [[nodiscard]] std::vector<std::string> topological_order() const;
-  [[nodiscard]] std::size_t edge_count() const { return graph_.edge_count(); }
 
   // --------------------------------------------------- clustering lookups
   /// The abstract job a concrete job realizes: its own id for plain
@@ -137,19 +98,11 @@ class ConcreteWorkflow {
   [[nodiscard]] std::vector<std::string> constituents_of(std::uint32_t index) const;
   void set_constituents(std::uint32_t index, std::vector<std::string> members);
 
-  /// Pre-sizes the interner and job storage (scale benches build
-  /// million-job workflows; one allocation instead of log2(n) regrows).
-  void reserve(std::size_t job_count, std::size_t id_bytes = 0);
-
   /// Count of jobs of one kind.
   [[nodiscard]] std::size_t count(JobKind kind) const;
 
  private:
-  std::string name_;
   std::string site_;
-  std::vector<ConcreteJob> jobs_;
-  IdTable ids_;  // job id -> handle == index into jobs_
-  WorkflowGraph graph_;
   bool bulk_open_ = false;
   /// Clustering side table: only clustered jobs have entries.
   std::unordered_map<std::uint32_t, std::vector<std::string>> constituents_;

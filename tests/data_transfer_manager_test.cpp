@@ -32,7 +32,7 @@ TEST(TransferManager, RejectsBrokenConfigs) {
   backoff.retry_backoff_seconds = -1;
   EXPECT_THROW(TransferManager(queue, backoff), common::InvalidArgument);
   TransferManager ok(queue);
-  EXPECT_THROW(ok.element("nowhere"), common::InvalidArgument);
+  EXPECT_THROW((void)ok.element("nowhere"), common::InvalidArgument);
   EXPECT_THROW(ok.transfer("f", 1, "a", "b", nullptr), common::InvalidArgument);
 }
 

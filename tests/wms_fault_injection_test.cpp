@@ -85,7 +85,7 @@ ConcreteWorkflow chain() {
 TEST(FaultPlan, FailKTimesThenSucceed) {
   StubService stub;
   FaultyService faulty(stub, FaultPlan().fail_first("a", 2, "boom"));
-  DagmanEngine engine(EngineOptions{.retries = 3});
+  DagmanEngine engine(EngineOptions{.retries = 3, .rescue_path = {}});
   const auto report = engine.run(chain(), faulty);
   EXPECT_TRUE(report.success);
   EXPECT_EQ(report.total_retries, 2u);
@@ -106,7 +106,7 @@ TEST(FaultPlan, FailKTimesThenSucceed) {
 TEST(FaultPlan, PermanentFailurePastRetryBudget) {
   StubService stub;
   FaultyService faulty(stub, FaultPlan().always_fail("a", "dead node"));
-  DagmanEngine engine(EngineOptions{.retries = 2});
+  DagmanEngine engine(EngineOptions{.retries = 2, .rescue_path = {}});
   const auto report = engine.run(chain(), faulty);
   EXPECT_FALSE(report.success);
   EXPECT_EQ(report.jobs_failed, 1u);
@@ -118,7 +118,8 @@ TEST(FaultPlan, PermanentFailurePastRetryBudget) {
 TEST(FaultPlan, HangBecomesTimeoutInsteadOfDeadlock) {
   StubService stub;
   FaultyService faulty(stub, FaultPlan().hang("a", 1));
-  DagmanEngine engine(EngineOptions{.retries = 1, .attempt_timeout_seconds = 60});
+  DagmanEngine engine(EngineOptions{
+      .retries = 1, .rescue_path = {}, .attempt_timeout_seconds = 60});
   const auto report = engine.run(chain(), faulty);
   EXPECT_TRUE(report.success);  // retry (attempt 2) is not hung
   EXPECT_EQ(report.timed_out_attempts, 1u);
@@ -143,7 +144,7 @@ TEST(FaultPlan, HangWithoutTimeoutFailsFastNotForever) {
   // must fail fast (no completions -> WorkflowError), never block forever.
   StubService stub;
   FaultyService faulty(stub, FaultPlan().hang("a", 1));
-  DagmanEngine engine(EngineOptions{.retries = 0});
+  DagmanEngine engine(EngineOptions{.retries = 0, .rescue_path = {}});
   EXPECT_THROW(engine.run(chain(), faulty), common::WorkflowError);
 }
 
@@ -166,7 +167,8 @@ TEST(FaultPlan, DelayPastTimeoutIsDeclaredDead) {
   // attempt off, the straggler completion is dropped, and the retry wins.
   StubService stub;
   FaultyService faulty(stub, FaultPlan().delay("a", 1, 1'000));
-  DagmanEngine engine(EngineOptions{.retries = 1, .attempt_timeout_seconds = 100});
+  DagmanEngine engine(EngineOptions{
+      .retries = 1, .rescue_path = {}, .attempt_timeout_seconds = 100});
   const auto report = engine.run(chain(), faulty);
   EXPECT_TRUE(report.success);
   EXPECT_EQ(report.timed_out_attempts, 1u);
@@ -185,8 +187,8 @@ TEST(FaultPlan, CorruptedNodeIsReported) {
   EXPECT_TRUE(report.success);
   EXPECT_EQ(faulty.corrupted_nodes(), 1u);
   for (const auto& run : report.runs) {
-    if (run.id == "a") EXPECT_EQ(run.attempts.at(0).node, "evil-host");
-    if (run.id == "b") EXPECT_EQ(run.attempts.at(0).node, "stub-node");
+    if (run.id == "a") { EXPECT_EQ(run.attempts.at(0).node, "evil-host"); }
+    if (run.id == "b") { EXPECT_EQ(run.attempts.at(0).node, "stub-node"); }
   }
 }
 
@@ -197,7 +199,7 @@ TEST(FaultPlan, FailWithNodeFeedsBlacklistLedger) {
   FaultyService faulty(stub,
                        FaultPlan().fail_first("a", 2, "io error", "flaky-host"));
   DagmanEngine engine(
-      EngineOptions{.retries = 3, .node_blacklist_threshold = 2});
+      EngineOptions{.retries = 3, .rescue_path = {}, .node_blacklist_threshold = 2});
   const auto report = engine.run(chain(), faulty);
   EXPECT_TRUE(report.success);
   ASSERT_EQ(report.blacklisted_nodes.size(), 1u);
@@ -255,7 +257,7 @@ TEST(FaultyService, ChaosModeIsSeedDeterministic) {
     FaultyService faulty(stub, FaultPlan().chaos(chaos));
     ConcreteWorkflow wf("soak", "stub");
     for (int i = 0; i < 25; ++i) wf.add_job(job("j" + std::to_string(i)));
-    DagmanEngine engine(EngineOptions{.retries = 10});
+    DagmanEngine engine(EngineOptions{.retries = 10, .rescue_path = {}});
     const auto report = engine.run(wf, faulty);
     std::string log;
     for (const auto& line : report.jobstate_log) log += line + "\n";
@@ -280,7 +282,7 @@ TEST(FaultyService, ComposesWithSimService) {
 
   ConcreteWorkflow wf = chain();
   for (const auto& j : wf.jobs()) wf.mutable_job(j.id).cpu_seconds_hint = 100;
-  DagmanEngine engine(EngineOptions{.retries = 2});
+  DagmanEngine engine(EngineOptions{.retries = 2, .rescue_path = {}});
   const auto report = engine.run(wf, faulty);
   EXPECT_TRUE(report.success);
   EXPECT_EQ(report.total_retries, 1u);

@@ -278,5 +278,120 @@ TEST(Planner, AbstractIdCarriedThrough) {
   EXPECT_EQ(concrete.abstract_id_of(concrete.job_index("stage_in_0")), "");
 }
 
+// ------------------------------------------------ ConcreteWorkflow contract
+
+/// A three-job concrete workflow a -> b, c unconnected.
+ConcreteWorkflow three_jobs() {
+  ConcreteWorkflow wf("contract", "sandhills");
+  for (const char* id : {"a", "b", "c"}) {
+    ConcreteJob job;
+    job.id = id;
+    wf.add_job(std::move(job));
+  }
+  wf.add_dependency("a", "b");
+  return wf;
+}
+
+TEST(ConcreteWorkflowContract, AddJobStampsDenseHandles) {
+  const auto wf = three_jobs();
+  ASSERT_EQ(wf.jobs().size(), 3u);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(wf.jobs()[i].index, i);
+    EXPECT_EQ(wf.job_at(i).id, wf.jobs()[i].id);
+    EXPECT_EQ(wf.job_index(wf.jobs()[i].id), i);
+  }
+}
+
+TEST(ConcreteWorkflowContract, EmptyAndDuplicateIdsRejected) {
+  auto wf = three_jobs();
+  ConcreteJob empty;
+  EXPECT_THROW(wf.add_job(empty), common::InvalidArgument);
+  ConcreteJob duplicate;
+  duplicate.id = "b";
+  EXPECT_THROW(wf.add_job(duplicate), common::InvalidArgument);
+  EXPECT_EQ(wf.jobs().size(), 3u);
+  EXPECT_EQ(wf.ids().size(), 3u);
+}
+
+TEST(ConcreteWorkflowContract, UnknownIdsAndHandlesRejected) {
+  auto wf = three_jobs();
+  EXPECT_THROW(wf.add_dependency("nope", "b"), common::InvalidArgument);
+  EXPECT_THROW(wf.add_dependency("a", "nope"), common::InvalidArgument);
+  EXPECT_THROW(wf.add_dependency(3u, 1u), common::InvalidArgument);
+  EXPECT_THROW(wf.add_dependency(0u, 3u), common::InvalidArgument);
+  EXPECT_THROW((void)wf.job("nope"), common::InvalidArgument);
+  EXPECT_THROW((void)wf.mutable_job("nope"), common::InvalidArgument);
+  EXPECT_THROW((void)wf.job_index("nope"), common::InvalidArgument);
+  EXPECT_THROW((void)wf.parents("nope"), common::InvalidArgument);
+  EXPECT_THROW((void)wf.children("nope"), common::InvalidArgument);
+  EXPECT_FALSE(wf.has_job("nope"));
+  EXPECT_EQ(wf.edge_count(), 1u);
+}
+
+TEST(ConcreteWorkflowContract, HandleAccessorsBoundsChecked) {
+  const auto wf = three_jobs();
+  EXPECT_THROW((void)wf.job_at(3), common::InvalidArgument);
+  EXPECT_THROW((void)wf.parents_of(3), common::InvalidArgument);
+  EXPECT_THROW((void)wf.children_of(3), common::InvalidArgument);
+  EXPECT_THROW((void)wf.abstract_id_of(3), common::InvalidArgument);
+  EXPECT_THROW((void)wf.constituents_of(3), common::InvalidArgument);
+  EXPECT_EQ(wf.parents_of(1), std::vector<std::uint32_t>{0});
+  EXPECT_EQ(wf.children_of(0), std::vector<std::uint32_t>{1});
+}
+
+TEST(ConcreteWorkflowContract, SelfDependencyRejected) {
+  auto wf = three_jobs();
+  EXPECT_THROW(wf.add_dependency("c", "c"), common::WorkflowError);
+  EXPECT_THROW(wf.add_dependency(2u, 2u), common::WorkflowError);
+  EXPECT_EQ(wf.edge_count(), 1u);
+}
+
+TEST(ConcreteWorkflowContract, EdgesAreNotCycleChecked) {
+  // plan() copies edges of an already validated abstract workflow, so the
+  // concrete side skips the reachability walk: a cycle is accepted here and
+  // surfaces as a WorkflowError from the topological order.
+  auto wf = three_jobs();
+  wf.add_dependency("a", "b");  // duplicate: ignored
+  EXPECT_EQ(wf.edge_count(), 1u);
+  EXPECT_NO_THROW(wf.add_dependency("b", "a"));
+  EXPECT_EQ(wf.edge_count(), 2u);
+  EXPECT_THROW((void)wf.topological_order_indices(), common::WorkflowError);
+  EXPECT_THROW((void)wf.topological_order(), common::WorkflowError);
+}
+
+TEST(ConcreteWorkflowContract, BulkIntakeContract) {
+  ConcreteWorkflow wf("bulk", "osg");
+  EXPECT_THROW(wf.finish_bulk(), common::InvalidArgument);
+  ConcreteJob* jobs = wf.begin_bulk(3);
+  jobs[0].id = "x0";
+  jobs[1].id = "x1";
+  jobs[2].id = "x2";
+  EXPECT_THROW(wf.begin_bulk(1), common::InvalidArgument);
+  ConcreteJob extra;
+  extra.id = "extra";
+  EXPECT_THROW(wf.add_job(extra), common::InvalidArgument);
+  wf.finish_bulk();
+  ASSERT_EQ(wf.jobs().size(), 3u);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(wf.jobs()[i].index, i);
+    EXPECT_EQ(wf.job_index("x" + std::to_string(i)), i);
+  }
+  EXPECT_THROW(wf.finish_bulk(), common::InvalidArgument);
+  EXPECT_THROW(wf.begin_bulk(1), common::InvalidArgument);
+  EXPECT_EQ(wf.add_job(std::move(extra)), 3u);
+}
+
+TEST(ConcreteWorkflowContract, BulkRejectsDuplicateAndEmptyIds) {
+  ConcreteWorkflow duplicate("bulk", "osg");
+  ConcreteJob* jobs = duplicate.begin_bulk(2);
+  jobs[0].id = "same";
+  jobs[1].id = "same";
+  EXPECT_THROW(duplicate.finish_bulk(), common::InvalidArgument);
+
+  ConcreteWorkflow empty("bulk", "osg");
+  empty.begin_bulk(2)[0].id = "only";
+  EXPECT_THROW(empty.finish_bulk(), common::InvalidArgument);
+}
+
 }  // namespace
 }  // namespace pga::wms

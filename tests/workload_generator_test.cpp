@@ -54,20 +54,20 @@ TEST(ShapeTaxonomy, NamesRoundTripAndUnknownNamesThrow) {
     EXPECT_EQ(parse_shape(shape_name(shape)), shape);
   }
   EXPECT_EQ(all_shapes().size(), 6u);
-  EXPECT_THROW(parse_shape("helix"), common::InvalidArgument);
-  EXPECT_THROW(parse_shape(""), common::InvalidArgument);
+  EXPECT_THROW((void)parse_shape("helix"), common::InvalidArgument);
+  EXPECT_THROW((void)parse_shape(""), common::InvalidArgument);
 }
 
 TEST(ShapeTaxonomy, SizesBelowTheShapeMinimumThrow) {
   ShapeSpec montage;
   montage.shape = Shape::kMontage;
   montage.size = 1;
-  EXPECT_THROW(closed_form_counts(montage), common::InvalidArgument);
+  EXPECT_THROW((void)closed_form_counts(montage), common::InvalidArgument);
   EXPECT_THROW(build_workflow(montage), common::InvalidArgument);
   ShapeSpec diamond;
   diamond.shape = Shape::kDiamond;
   diamond.diamond_stages = 0;
-  EXPECT_THROW(closed_form_counts(diamond), common::InvalidArgument);
+  EXPECT_THROW((void)closed_form_counts(diamond), common::InvalidArgument);
 }
 
 TEST(ShapeProperties, EveryGridPointMatchesItsClosedFormCounts) {
