@@ -41,6 +41,7 @@
 #include "bio/alphabet.hpp"
 #include "bio/transcriptome.hpp"
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "common/thread_pool.hpp"
 
 namespace {
@@ -89,7 +90,7 @@ std::vector<bio::SeqRecord> gene_fragments(std::size_t genes,
     for (std::size_t f = 0; f < fragments_per_gene; ++f) {
       const std::size_t len = 400 + rng.below(500);
       const std::size_t start = rng.below(gene.size() - len + 1);
-      out.push_back({"g" + std::to_string(g) + "_f" + std::to_string(f), "",
+      out.push_back({common::cat({"g", std::to_string(g), "_f", std::to_string(f)}), "",
                      gene.substr(start, len)});
     }
   }

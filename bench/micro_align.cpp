@@ -10,6 +10,7 @@
 #include "bio/codon.hpp"
 #include "bio/transcriptome.hpp"
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 
 namespace {
 
@@ -71,7 +72,7 @@ void BM_KmerIndexBuild(benchmark::State& state) {
   common::Rng rng(3);
   std::vector<bio::SeqRecord> db;
   for (int i = 0; i < static_cast<int>(state.range(0)); ++i) {
-    db.push_back({"p" + std::to_string(i), "", random_protein(300, rng)});
+    db.push_back({common::cat({"p", std::to_string(i)}), "", random_protein(300, rng)});
   }
   for (auto _ : state) {
     const align::KmerIndex index(db, 3, 12);
@@ -84,7 +85,7 @@ void BM_KmerNeighborhoodQuery(benchmark::State& state) {
   common::Rng rng(4);
   std::vector<bio::SeqRecord> db;
   for (int i = 0; i < 64; ++i) {
-    db.push_back({"p" + std::to_string(i), "", random_protein(300, rng)});
+    db.push_back({common::cat({"p", std::to_string(i)}), "", random_protein(300, rng)});
   }
   const align::KmerIndex index(db, 3, 12);
   const std::string query = random_protein(200, rng);
@@ -106,7 +107,7 @@ void BM_KmerNeighborhoodCold(benchmark::State& state) {
   common::Rng rng(4);
   std::vector<bio::SeqRecord> db;
   for (int i = 0; i < 64; ++i) {
-    db.push_back({"p" + std::to_string(i), "", random_protein(300, rng)});
+    db.push_back({common::cat({"p", std::to_string(i)}), "", random_protein(300, rng)});
   }
   const std::string query = random_protein(64, rng);
   std::vector<align::WordHit> hits;

@@ -4,6 +4,7 @@
 #include "assembly/cap3.hpp"
 #include "bio/transcriptome.hpp"
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "common/thread_pool.hpp"
 
 namespace {
@@ -21,7 +22,7 @@ std::vector<bio::SeqRecord> fragments_of_one_gene(std::size_t count,
     const std::size_t len = 600 + rng.below(600);
     const std::size_t start = rng.below(gene.size() - len + 1);
     fragments.push_back(
-        {"f" + std::to_string(i), "", gene.substr(start, len)});
+        {common::cat({"f", std::to_string(i)}), "", gene.substr(start, len)});
   }
   return fragments;
 }

@@ -1,6 +1,7 @@
 // Microbenchmarks for the discrete-event core and platform models.
 #include <benchmark/benchmark.h>
 
+#include "common/strings.hpp"
 #include "sim/campus_cluster.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/osg.hpp"
@@ -32,7 +33,7 @@ void BM_CampusClusterJobs(benchmark::State& state) {
     sim::CampusClusterPlatform platform(queue, {});
     std::size_t done = 0;
     for (std::size_t i = 0; i < jobs; ++i) {
-      platform.submit({"j" + std::to_string(i), "t", 1'000, false},
+      platform.submit({common::cat({"j", std::to_string(i)}), "t", 1'000, false},
                       [&done](const sim::AttemptResult&) { ++done; });
     }
     queue.run();
@@ -58,7 +59,7 @@ void BM_OsgJobsWithPreemption(benchmark::State& state) {
         else submit(id);
       });
     };
-    for (std::size_t i = 0; i < jobs; ++i) submit("j" + std::to_string(i));
+    for (std::size_t i = 0; i < jobs; ++i) submit(common::cat({"j", std::to_string(i)}));
     queue.run();
     benchmark::DoNotOptimize(done);
   }

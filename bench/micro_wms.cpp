@@ -6,6 +6,7 @@
 #include <deque>
 #include <string>
 
+#include "common/strings.hpp"
 #include "core/b2c3_workflow.hpp"
 #include "sim/campus_cluster.hpp"
 #include "wms/dax_xml.hpp"
@@ -119,7 +120,7 @@ wms::ConcreteWorkflow wide_dag(std::size_t width) {
   add("a_split", 100);
   add("z_merge", 100);
   for (std::size_t i = 0; i < width; ++i) {
-    const std::string id = "w" + std::to_string(i);
+    const std::string id = common::cat({"w", std::to_string(i)});
     add(id, 50.0 + static_cast<double>((i * 37) % 400));
     workflow.add_dependency("a_split", id);
     workflow.add_dependency(id, "z_merge");

@@ -54,6 +54,15 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
   return out;
 }
 
+std::string cat(std::initializer_list<std::string_view> parts) {
+  std::size_t size = 0;
+  for (const std::string_view part : parts) size += part.size();
+  std::string out;
+  out.reserve(size);
+  for (const std::string_view part : parts) out.append(part);
+  return out;
+}
+
 bool glob_match(std::string_view pattern, std::string_view text) {
   // Iterative two-pointer matcher with backtracking to the last '*'.
   std::size_t p = 0;
@@ -100,7 +109,7 @@ std::string to_upper(std::string_view text) {
 }
 
 std::string format_duration(double seconds) {
-  if (seconds < 0) return "-" + format_duration(-seconds);
+  if (seconds < 0) return cat({"-", format_duration(-seconds)});
   auto total = static_cast<long long>(std::llround(seconds));
   const long long days = total / 86'400;
   total %= 86'400;

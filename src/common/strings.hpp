@@ -1,6 +1,7 @@
 // Small string helpers used across the library.
 #pragma once
 
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,6 +19,12 @@ std::string_view trim(std::string_view text);
 
 /// Joins `parts` with `sep` between consecutive elements.
 std::string join(const std::vector<std::string>& parts, std::string_view sep);
+
+/// Concatenates `parts` by appending them to one string. Use it instead
+/// of a `"literal" + std::string&&` chain: that operator inserts at the
+/// front of the temporary, which GCC 12 at -O3 misreads as an overlapping
+/// copy (-Wrestrict).
+std::string cat(std::initializer_list<std::string_view> parts);
 
 /// True if `text` begins with `prefix`.
 bool starts_with(std::string_view text, std::string_view prefix);

@@ -46,6 +46,7 @@ void StagingService::stage(const wms::ConcreteJob& job) {
   ++staged_jobs_;
   auto staging = std::make_shared<StagingJob>();
   staging->job_id = job.id;
+  staging->job = job.index;
   staging->transformation = job.transformation;
   staging->site = config_.execution_site;
   staging->submit_time = queue_.now();
@@ -105,6 +106,7 @@ void StagingService::complete(wms::CompletionInbox& inbox, const StagingJob& sta
   if (inbox.orphaned) return;
   wms::TaskAttempt attempt;
   attempt.job_id = staging.job_id;
+  attempt.job = staging.job;
   attempt.transformation = staging.transformation;
   attempt.success = staging.all_ok;
   attempt.error = staging.error;
@@ -120,7 +122,7 @@ void StagingService::complete(wms::CompletionInbox& inbox, const StagingJob& sta
   attempt.exec_seconds = attempt.end_time - start;
   attempt.transferred_bytes = staging.bytes;
   attempt.transfer_attempts = staging.attempts;
-  inbox.completed.push_back(std::move(attempt));
+  inbox.deliver(std::move(attempt));
 }
 
 std::vector<wms::TaskAttempt> StagingService::drain() {

@@ -61,6 +61,12 @@ class StagingService final : public wms::ExecutionService {
   [[nodiscard]] bool has_output() override {
     return !inbox_->completed.empty() || inner_.has_output();
   }
+  /// Rings for staged completions and, through the inner service, for
+  /// compute completions alike.
+  void set_wake_hook(const wms::WakeHook& hook) override {
+    inbox_->wake = hook;
+    inner_.set_wake_hook(hook);
+  }
   void avoid_node(const std::string& node) override { inner_.avoid_node(node); }
   double now() override { return queue_.now(); }
   [[nodiscard]] double next_event_time() override {
@@ -79,6 +85,7 @@ class StagingService final : public wms::ExecutionService {
   /// Aggregates the per-file transfers of one staging job.
   struct StagingJob {
     std::string job_id;
+    std::uint32_t job = 0xFFFFFFFFu;  ///< ConcreteJob::index, echoed back
     std::string transformation;
     std::string site;
     double submit_time = 0;

@@ -23,45 +23,48 @@ TransferManager::TransferManager(sim::EventQueue& queue, TransferConfig config)
 }
 
 void TransferManager::add_element(StorageElementConfig config) {
-  const std::string site = config.site;
-  elements_.erase(site);
-  auto it = elements_.emplace(site, StorageElement(std::move(config))).first;
-  it->second.set_event_sink(event_bus_);
+  const auto [it, added] = element_ids_.emplace(
+      config.site, static_cast<std::uint32_t>(elements_.size()));
+  if (added) {
+    elements_.emplace_back(std::move(config));
+  } else {
+    elements_[it->second] = StorageElement(std::move(config));
+  }
+  elements_[it->second].set_event_sink(event_bus_);
 }
 
 void TransferManager::set_event_bus(StorageEventBus* bus) {
   event_bus_ = bus;
-  for (auto& [site, element] : elements_) element.set_event_sink(bus);
+  for (auto& element : elements_) element.set_event_sink(bus);
 }
 
 bool TransferManager::has_element(const std::string& site) const {
-  return elements_.count(site) != 0;
+  return element_ids_.count(site) != 0;
 }
 
 StorageElement& TransferManager::element(const std::string& site) {
-  const auto it = elements_.find(site);
-  if (it == elements_.end()) {
+  const auto it = element_ids_.find(site);
+  if (it == element_ids_.end()) {
     throw InvalidArgument("TransferManager: no storage element for site " + site);
   }
-  return it->second;
+  return elements_[it->second];
 }
 
 const StorageElement& TransferManager::element(const std::string& site) const {
-  const auto it = elements_.find(site);
-  if (it == elements_.end()) {
+  const auto it = element_ids_.find(site);
+  if (it == element_ids_.end()) {
     throw InvalidArgument("TransferManager: no storage element for site " + site);
   }
-  return it->second;
+  return elements_[it->second];
 }
 
-StorageElement& TransferManager::ensure_element(const std::string& site) {
-  const auto it = elements_.find(site);
-  if (it != elements_.end()) return it->second;
+std::uint32_t TransferManager::ensure_element(const std::string& site) {
+  const auto it = element_ids_.find(site);
+  if (it != element_ids_.end()) return it->second;
   StorageElementConfig config;
   config.site = site;
-  auto created = elements_.emplace(site, StorageElement(std::move(config))).first;
-  created->second.set_event_sink(event_bus_);
-  return created->second;
+  add_element(std::move(config));
+  return static_cast<std::uint32_t>(elements_.size() - 1);
 }
 
 std::optional<wms::Replica> TransferManager::select_source(
@@ -78,9 +81,9 @@ std::optional<wms::Replica> TransferManager::select_source(
     if (replica.site == dest_site && (local == nullptr || replica.pfn < local->pfn)) {
       local = &replica;
     }
-    const auto it = elements_.find(replica.site);
-    if (it != elements_.end()) {
-      const double bps = it->second.config().bandwidth_out_bps;
+    const auto it = element_ids_.find(replica.site);
+    if (it != element_ids_.end()) {
+      const double bps = elements_[it->second].config().bandwidth_out_bps;
       if (fastest == nullptr || bps > fastest_bps ||
           (bps == fastest_bps && std::tie(replica.site, replica.pfn) <
                                      std::tie(fastest->site, fastest->pfn))) {
@@ -102,17 +105,25 @@ double TransferManager::duration_for(std::uint64_t bytes,
                                      const std::string& source_site,
                                      const std::string& dest_site) const {
   if (source_site == dest_site) return config_.latency_seconds;
-  double bps = StorageElementConfig{}.bandwidth_out_bps;
-  const auto src = elements_.find(source_site);
-  const auto dst = elements_.find(dest_site);
-  if (src != elements_.end() && dst != elements_.end()) {
-    bps = std::min(src->second.config().bandwidth_out_bps,
-                   dst->second.config().bandwidth_in_bps);
-  } else if (src != elements_.end()) {
-    bps = src->second.config().bandwidth_out_bps;
-  } else if (dst != elements_.end()) {
-    bps = dst->second.config().bandwidth_in_bps;
+  const auto src = element_ids_.find(source_site);
+  const auto dst = element_ids_.find(dest_site);
+  if (src != element_ids_.end() && dst != element_ids_.end()) {
+    return duration_between(bytes, src->second, dst->second);
   }
+  double bps = StorageElementConfig{}.bandwidth_out_bps;
+  if (src != element_ids_.end()) {
+    bps = elements_[src->second].config().bandwidth_out_bps;
+  } else if (dst != element_ids_.end()) {
+    bps = elements_[dst->second].config().bandwidth_in_bps;
+  }
+  return config_.latency_seconds + static_cast<double>(bytes) / bps;
+}
+
+double TransferManager::duration_between(std::uint64_t bytes, std::uint32_t source,
+                                         std::uint32_t dest) const {
+  if (source == dest) return config_.latency_seconds;
+  const double bps = std::min(elements_[source].config().bandwidth_out_bps,
+                              elements_[dest].config().bandwidth_in_bps);
   return config_.latency_seconds + static_cast<double>(bytes) / bps;
 }
 
@@ -121,48 +132,59 @@ void TransferManager::transfer(const std::string& lfn, std::uint64_t bytes,
                                const std::string& dest_site,
                                TransferCallback on_complete) {
   if (!on_complete) throw InvalidArgument("TransferManager: null callback");
-  ensure_element(source_site);
-  ensure_element(dest_site);
   auto request = std::make_shared<Request>();
   request->lfn = lfn;
   request->bytes = bytes;
-  request->source_site = source_site;
-  request->dest_site = dest_site;
+  request->source = ensure_element(source_site);
+  request->dest = ensure_element(dest_site);
+  const auto [lane, added] = lane_ids_.emplace(
+      std::make_pair(request->source, request->dest),
+      static_cast<std::uint32_t>(lanes_.size()));
+  if (added) lanes_.push_back(Lane{request->source, request->dest, {}});
+  request->lane = lane->second;
   request->on_complete = std::move(on_complete);
   request->submit_time = queue_.now();
-  waiting_.push_back(std::move(request));
+  enqueue(std::move(request));
   pump();
 }
 
+void TransferManager::enqueue(std::shared_ptr<Request> request) {
+  request->seq = next_seq_++;
+  lanes_[request->lane].waiting.push_back(std::move(request));
+  ++queued_;
+}
+
 void TransferManager::pump() {
-  // Scan-first-dispatchable: a request blocked on a busy endpoint must not
-  // starve transfers between idle sites behind it. FIFO order still wins
+  // Every request of a lane shares one dispatchability test (free slots on
+  // its two endpoints), so starting the oldest head among dispatchable
+  // lanes, again and again, starts exactly what a scan of one FIFO for the
+  // first dispatchable request would: a request blocked on a busy endpoint
+  // never starves transfers between idle sites, and FIFO order still wins
   // among requests contending for the same endpoints.
-  for (auto it = waiting_.begin(); it != waiting_.end();) {
-    StorageElement& src = element((*it)->source_site);
-    StorageElement& dst = element((*it)->dest_site);
-    const bool same_site = (*it)->source_site == (*it)->dest_site;
-    const bool dispatchable =
-        same_site ? dst.slot_available()
-                  : (src.slot_available() && dst.slot_available());
-    if (!dispatchable) {
-      ++it;
-      continue;
+  while (queued_ > 0) {
+    Lane* oldest = nullptr;
+    for (Lane& lane : lanes_) {
+      if (lane.waiting.empty()) continue;
+      if (oldest != nullptr && oldest->waiting.front()->seq < lane.waiting.front()->seq) {
+        continue;
+      }
+      const bool dispatchable =
+          elements_[lane.dest].slot_available() &&
+          (lane.source == lane.dest || elements_[lane.source].slot_available());
+      if (dispatchable) oldest = &lane;
     }
-    std::shared_ptr<Request> request = *it;
-    it = waiting_.erase(it);
+    if (oldest == nullptr) return;
+    std::shared_ptr<Request> request = std::move(oldest->waiting.front());
+    oldest->waiting.pop_front();
+    --queued_;
     start(std::move(request));
-    // Restart the scan: start() may have freed nothing, but iterator
-    // stability across erase + container growth elsewhere is not worth
-    // reasoning about per element.
-    it = waiting_.begin();
   }
 }
 
 void TransferManager::start(std::shared_ptr<Request> request) {
-  StorageElement& src = element(request->source_site);
-  StorageElement& dst = element(request->dest_site);
-  const bool same_site = request->source_site == request->dest_site;
+  StorageElement& src = elements_[request->source];
+  StorageElement& dst = elements_[request->dest];
+  const bool same_site = request->source == request->dest;
   if (!same_site) src.acquire_slot();
   dst.acquire_slot();
   // Reading from the source counts as a use for LRU recency (no-op when
@@ -172,8 +194,7 @@ void TransferManager::start(std::shared_ptr<Request> request) {
   ++request->attempts;
   if (request->first_start < 0) request->first_start = queue_.now();
 
-  const double duration =
-      duration_for(request->bytes, request->source_site, request->dest_site);
+  const double duration = duration_between(request->bytes, request->source, request->dest);
   // Failure draw order is fixed (fail?, then partial fraction) so the RNG
   // stream — and with it the whole run — replays from the seed.
   bool failed = false;
@@ -185,8 +206,8 @@ void TransferManager::start(std::shared_ptr<Request> request) {
 
   queue_.schedule_in(elapsed, [this, request = std::move(request), same_site,
                                failed]() mutable {
-    StorageElement& src = element(request->source_site);
-    StorageElement& dst = element(request->dest_site);
+    StorageElement& src = elements_[request->source];
+    StorageElement& dst = elements_[request->dest];
     if (!same_site) src.release_slot();
     dst.release_slot();
     --in_flight_;
@@ -197,7 +218,7 @@ void TransferManager::start(std::shared_ptr<Request> request) {
       ++stats_.retries;
       queue_.schedule_in(config_.retry_backoff_seconds,
                          [this, request = std::move(request)]() mutable {
-                           waiting_.push_back(std::move(request));
+                           enqueue(std::move(request));
                            pump();
                          });
     } else {
@@ -210,8 +231,8 @@ void TransferManager::start(std::shared_ptr<Request> request) {
 void TransferManager::finish(const std::shared_ptr<Request>& request, bool success) {
   TransferResult result;
   result.lfn = request->lfn;
-  result.source_site = request->source_site;
-  result.dest_site = request->dest_site;
+  result.source_site = elements_[request->source].site();
+  result.dest_site = elements_[request->dest].site();
   result.bytes = request->bytes;
   result.submit_time = request->submit_time;
   result.start_time = request->first_start;

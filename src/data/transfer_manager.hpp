@@ -7,6 +7,10 @@
 // backoff until its retry budget is spent. Replica selection prefers a
 // same-site copy, then the registered source with the largest serving
 // bandwidth — the policy a Pegasus replica selector would apply.
+//
+// Requests resolve their endpoints to dense element ids once, when they are
+// queued, and wait in one FIFO per (source, dest) pair, so dispatching
+// costs O(site pairs) and no string lookup, however deep the queue.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +20,8 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "data/storage_element.hpp"
@@ -58,9 +64,10 @@ class TransferManager {
   /// `queue` is the experiment's clock; it must outlive the manager.
   TransferManager(sim::EventQueue& queue, TransferConfig config = {});
 
-  /// Registers a site's storage element. Re-adding a site replaces its
-  /// configuration (but not any in-flight slot accounting — register
-  /// elements before transferring).
+  /// Registers a site's storage element. Re-adding a site replaces the
+  /// element in place — configuration, held files and slot accounting
+  /// alike, so register elements before transferring. Queued requests
+  /// keep naming the site and run against the new element.
   void add_element(StorageElementConfig config);
   [[nodiscard]] bool has_element(const std::string& site) const;
 
@@ -93,7 +100,7 @@ class TransferManager {
   [[nodiscard]] double duration_for(std::uint64_t bytes, const std::string& source_site,
                                     const std::string& dest_site) const;
 
-  [[nodiscard]] std::size_t queued() const { return waiting_.size(); }
+  [[nodiscard]] std::size_t queued() const { return queued_; }
   [[nodiscard]] std::size_t in_flight() const { return in_flight_; }
 
   /// Telemetry since construction.
@@ -109,28 +116,45 @@ class TransferManager {
   struct Request {
     std::string lfn;
     std::uint64_t bytes = 0;
-    std::string source_site;
-    std::string dest_site;
+    std::uint32_t source = 0;  ///< element id
+    std::uint32_t dest = 0;    ///< element id
+    std::uint32_t lane = 0;    ///< index into lanes_
+    /// Queue-wide push order, assigned again on every re-enqueue (retry).
+    std::uint64_t seq = 0;
     TransferCallback on_complete;
     double submit_time = 0;
     double first_start = -1;  ///< <0 until the first attempt starts
     std::size_t attempts = 0;
   };
+  /// The waiting requests of one (source, dest) pair, oldest first.
+  struct Lane {
+    std::uint32_t source = 0;
+    std::uint32_t dest = 0;
+    std::deque<std::shared_ptr<Request>> waiting;
+  };
 
-  StorageElement& ensure_element(const std::string& site);
-  /// Starts every queued request whose endpoints have free slots. Scans
-  /// past blocked requests so one saturated site pair cannot head-of-line
+  /// Id of the element for `site`, auto-registering a default one.
+  std::uint32_t ensure_element(const std::string& site);
+  void enqueue(std::shared_ptr<Request> request);
+  /// Starts queued requests while any endpoint pair has free slots. Scans
+  /// past blocked pairs so one saturated site pair cannot head-of-line
   /// block transfers between idle sites.
   void pump();
   void start(std::shared_ptr<Request> request);
   void finish(const std::shared_ptr<Request>& request, bool success);
+  [[nodiscard]] double duration_between(std::uint64_t bytes, std::uint32_t source,
+                                        std::uint32_t dest) const;
 
   sim::EventQueue& queue_;
   TransferConfig config_;
   common::Rng rng_;
-  std::map<std::string, StorageElement> elements_;
+  std::deque<StorageElement> elements_;  ///< by element id; never relocated
+  std::map<std::string, std::uint32_t> element_ids_;
   StorageEventBus* event_bus_ = nullptr;
-  std::deque<std::shared_ptr<Request>> waiting_;
+  std::vector<Lane> lanes_;
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint32_t> lane_ids_;
+  std::size_t queued_ = 0;
+  std::uint64_t next_seq_ = 0;
   std::size_t in_flight_ = 0;
   Stats stats_;
 };

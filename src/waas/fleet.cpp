@@ -1,9 +1,12 @@
 #include "waas/fleet.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <set>
 #include <sstream>
+#include <utility>
 
 #include "common/digest.hpp"
 #include "common/error.hpp"
@@ -23,6 +26,7 @@ namespace {
 
 constexpr double kEps = 1e-9;
 constexpr std::size_t kUnlimited = std::numeric_limits<std::size_t>::max();
+constexpr std::uint64_t kNoEngine = std::numeric_limits<std::uint64_t>::max();
 
 // Salts for folding independent sub-streams out of the one fleet seed.
 constexpr std::uint64_t kCampusSalt = 0x43414d5055530001ULL;
@@ -31,12 +35,70 @@ constexpr std::uint64_t kTransferSalt = 0x5452414e53460003ULL;
 constexpr std::uint64_t kChaosSalt = 0x4348414f53000004ULL;
 constexpr std::uint64_t kBackoffSalt = 0x4241434b4f460005ULL;
 
+/// A set of admission sequence numbers as a bitmap. insert, erase and
+/// next are a few word operations: next() scans from its argument, and
+/// words below the lowest member are skipped, so a walk in admission order
+/// pays per member it reaches, not per engine ever admitted.
+class SeqSet {
+ public:
+  void insert(std::uint64_t seq) {
+    const std::size_t word = seq >> 6;
+    if (word >= words_.size()) words_.resize(word + 1, 0);
+    words_[word] |= bit(seq);
+    low_ = std::min(low_, word);
+  }
+  void erase(std::uint64_t seq) {
+    const std::size_t word = seq >> 6;
+    if (word >= words_.size()) return;
+    words_[word] &= ~bit(seq);
+    while (low_ < words_.size() && words_[low_] == 0) ++low_;
+  }
+  /// The smallest member >= `from`, or kNoEngine.
+  [[nodiscard]] std::uint64_t next(std::uint64_t from) const {
+    std::size_t word = std::max<std::size_t>(from >> 6, low_);
+    if (word >= words_.size()) return kNoEngine;
+    std::uint64_t bits = words_[word];
+    if (word == from >> 6) bits &= ~std::uint64_t{0} << (from & 63);
+    while (bits == 0) {
+      if (++word == words_.size()) return kNoEngine;
+      bits = words_[word];
+    }
+    return (std::uint64_t{word} << 6) | static_cast<std::uint64_t>(std::countr_zero(bits));
+  }
+
+ private:
+  static std::uint64_t bit(std::uint64_t seq) { return std::uint64_t{1} << (seq & 63); }
+
+  std::vector<std::uint64_t> words_;
+  std::size_t low_ = 0;  ///< no member lies in a word below this one
+};
+
 }  // namespace
+
+/// The round's indexes over live engines, keyed by admission sequence
+/// number so every walk runs in admission order. run() builds it; a round
+/// costs O(engines that can act), never O(live engines).
+struct FleetController::Rounds {
+  SeqSet live;  ///< every live engine
+  /// Engines to visit in the next first pass: completion deliveries (the
+  /// services' wake hook), due deadlines, admissions and self-wakes.
+  SeqSet wake;
+  /// Per tenant, the engines with ready jobs (ready_count() > 0).
+  std::vector<SeqSet> ready;
+  /// (stored deadline, seq) for every engine with a finite deadline.
+  std::set<std::pair<double, std::uint64_t>> deadlines;
+  /// Engines whose step finished them this round, to reap.
+  std::vector<std::uint64_t> finished;
+  std::uint64_t visits = 0;  ///< can_progress evaluations
+  std::uint64_t steps = 0;   ///< step_cooperative calls
+};
 
 /// One admitted workflow. Members are declaration-ordered so destruction
 /// tears the engine down before the services it references, and the
 /// services before the catalogs/plan they reference.
 struct FleetController::Active {
+  std::uint64_t seq = 0;     ///< admission order, the key of every index
+  FleetController::Rounds* rounds = nullptr;
   std::size_t index = 0;
   std::size_t tenant = 0;
   std::size_t platform = 0;  ///< 0 = campus, 1 = osg
@@ -49,8 +111,9 @@ struct FleetController::Active {
   std::unique_ptr<data::StagingService> staging;
   std::unique_ptr<wms::FaultyService> faulty;
   std::unique_ptr<wms::EngineInstance> engine;
-  /// engine->next_deadline() as of admission or the engine's last step; it
-  /// only changes inside a step, so quiet rounds fence on this copy.
+  /// engine->next_deadline() as of admission or the engine's last step, as
+  /// filed in Rounds::deadlines; it only changes inside a step, so the index
+  /// stays exact and quiet rounds fence on its first entry.
   double deadline = std::numeric_limits<double>::infinity();
 };
 
@@ -184,13 +247,45 @@ void FleetController::admit(const workload::WorkflowRequest& request) {
   telemetry_.record_admission(active->tenant);
   active->engine = std::make_unique<wms::EngineInstance>(
       engine_options, *active->workflow, *service);
-  active->deadline = active->engine->next_deadline();
+  active->seq = engines_.size();
+  active->rounds = rounds_.get();
+  // Completions delivered anywhere in the stack wake this engine.
+  service->set_wake_hook(wms::WakeHook{
+      [](void* context) {
+        const Active& woken = *static_cast<const Active*>(context);
+        woken.rounds->wake.insert(woken.seq);
+      },
+      active.get()});
+  rounds_->live.insert(active->seq);
+  rounds_->wake.insert(active->seq);
+  reindex(*active);
   ++tenant_active_[active->tenant];
-  active_.push_back(std::move(active));
+  ++live_;
+  engines_.push_back(std::move(active));
 }
 
-void FleetController::reap(std::size_t slot, std::vector<WorkflowOutcome>& outcomes) {
-  Active& active = *active_[slot];
+void FleetController::reindex(Active& active) {
+  Rounds& rounds = *rounds_;
+  if (active.engine->ready_count() > 0) {
+    rounds.ready[active.tenant].insert(active.seq);
+  } else {
+    rounds.ready[active.tenant].erase(active.seq);
+  }
+  const double deadline = active.engine->next_deadline();
+  if (deadline != active.deadline) {
+    if (!std::isinf(active.deadline)) rounds.deadlines.erase({active.deadline, active.seq});
+    if (!std::isinf(deadline)) rounds.deadlines.emplace(deadline, active.seq);
+    active.deadline = deadline;
+  }
+}
+
+void FleetController::reap(std::uint64_t seq, std::vector<WorkflowOutcome>& outcomes) {
+  Active& active = *engines_[seq];
+  Rounds& rounds = *rounds_;
+  rounds.live.erase(seq);
+  rounds.wake.erase(seq);
+  rounds.ready[active.tenant].erase(seq);
+  if (!std::isinf(active.deadline)) rounds.deadlines.erase({active.deadline, seq});
   telemetry_.set_tenant(active.tenant);
   wms::RunReport report = active.engine->take_report();
 
@@ -211,7 +306,8 @@ void FleetController::reap(std::size_t slot, std::vector<WorkflowOutcome>& outco
   outcomes.push_back(std::move(outcome));
 
   --tenant_active_[active.tenant];
-  active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(slot));
+  --live_;
+  engines_[seq].reset();
 }
 
 FleetResult FleetController::run(
@@ -221,6 +317,9 @@ FleetResult FleetController::run(
     throw common::InvalidArgument("FleetController::run called twice");
   }
   ran_ = true;
+  rounds_ = std::make_unique<Rounds>();
+  Rounds& rounds = *rounds_;
+  rounds.ready.resize(options_.tenants);
   for (std::size_t i = 0; i < requests.size(); ++i) {
     if (requests[i].tenant >= options_.tenants) {
       throw common::InvalidArgument("fleet: request tenant out of range");
@@ -261,7 +360,7 @@ FleetResult FleetController::run(
       }
     }
     while (!due.empty() && (options_.max_active_workflows == 0 ||
-                            active_.size() < options_.max_active_workflows)) {
+                            live_ < options_.max_active_workflows)) {
       // Weighted fair-share admission: the due request whose tenant has
       // the smallest deficit wins; the scan order keeps FIFO within ties.
       std::size_t best = 0;
@@ -284,13 +383,20 @@ FleetResult FleetController::run(
     return next.has_value() && *next <= queue_.now();
   };
 
-  // Steps one engine under `grant` and settles the in-flight ledgers.
-  const auto step_engine = [&](Active& active, std::size_t grant,
-                               std::size_t& headroom) {
+  // The fleet's unused job cap this round; the budgets split it by weight.
+  std::size_t headroom = kUnlimited;
+  const auto grant_for = [&](std::size_t tenant) {
+    return capped ? std::min(tenant_budget[tenant], headroom) : kUnlimited;
+  };
+
+  // Steps one engine under `grant`, settles the in-flight ledgers and
+  // re-indexes it. A stepped engine is woken for the next round: that
+  // covers quiescence and output its service produced inside the step.
+  const auto step_engine = [&](Active& active, std::size_t grant) {
     telemetry_.set_tenant(active.tenant);
+    ++rounds.steps;
     const std::size_t before = active.engine->jobs_in_flight();
     const bool progress = active.engine->step_cooperative(grant);
-    active.deadline = active.engine->next_deadline();
     const std::size_t after = active.engine->jobs_in_flight();
     if (after >= before) {
       const std::size_t delta = after - before;
@@ -307,12 +413,26 @@ FleetResult FleetController::run(
       platform_in_flight_[active.platform] -= delta;
       if (capped) headroom += delta;  // capacity freed this round
     }
+    if (active.engine->is_done()) {
+      rounds.finished.push_back(active.seq);
+    } else {
+      reindex(active);
+      rounds.wake.insert(active.seq);
+    }
     return progress;
+  };
+  // The first ready-index entry from `from` on among tenants that `admits`.
+  const auto next_ready = [&](std::uint64_t from, auto admits) {
+    std::uint64_t best = kNoEngine;
+    for (std::size_t t = 0; t < options_.tenants; ++t) {
+      if (admits(t)) best = std::min(best, rounds.ready[t].next(from));
+    }
+    return best;
   };
 
   while (true) {
     admit_due();
-    if (active_.empty() && due.empty() && next_arrival == requests.size()) {
+    if (live_ == 0 && due.empty() && next_arrival == requests.size()) {
       // Static stream drained and nothing running — but the source may
       // still owe future requests (e.g. a trigger firing with a delay).
       // Jump the clock to its earliest pending arrival and re-poll.
@@ -327,7 +447,7 @@ FleetResult FleetController::run(
     // Per-round fair-share budgets: split the fleet cap across tenants
     // with live engines in proportion to weight; a tenant above its
     // target gets 0 and drains toward it (weighted deficit discipline).
-    std::size_t headroom = kUnlimited;
+    headroom = kUnlimited;
     if (capped) {
       double total_weight = 0;
       std::size_t total_in_flight = 0;
@@ -350,43 +470,62 @@ FleetResult FleetController::run(
             target > tenant_in_flight_[t] ? target - tenant_in_flight_[t] : 0;
       }
     }
+    // Deadlines due now (backoff release, attempt timeout, held
+    // completion) wake their engines; the clock only moves between rounds.
+    for (const auto& [deadline, seq] : rounds.deadlines) {
+      if (deadline > queue_.now() + kEps) break;
+      rounds.wake.insert(seq);
+    }
 
     // Wake-driven pass in admission order: an engine is stepped only when
     // the step could change something — its own wake conditions
     // (EngineInstance::can_progress) or a queue event due now, which its
-    // poll would run. Skipping the rest leaves every byte as it was.
+    // poll would run. Only woken engines and ready engines whose tenant
+    // has a grant can pass that test, so the pass visits just those; while
+    // an event is due it steps every engine in turn. An engine woken
+    // during the pass is visited in it when it lies ahead of the cursor,
+    // else next round — exactly what a walk over every engine would do.
     bool progress = false;
-    for (auto& active : active_) {
-      const std::size_t grant =
-          capped ? std::min(tenant_budget[active->tenant], headroom) : kUnlimited;
-      if (!event_due_now() && !active->engine->can_progress(grant)) continue;
-      progress |= step_engine(*active, grant, headroom);
+    for (std::uint64_t from = 0;;) {
+      if (event_due_now()) {
+        const std::uint64_t seq = rounds.live.next(from);
+        if (seq == kNoEngine) break;
+        from = seq + 1;
+        rounds.wake.erase(seq);
+        Active& active = *engines_[seq];
+        progress |= step_engine(active, grant_for(active.tenant));
+        continue;
+      }
+      const std::uint64_t seq =
+          std::min(rounds.wake.next(from),
+                   next_ready(from, [&](std::size_t t) { return grant_for(t) > 0; }));
+      if (seq == kNoEngine) break;
+      from = seq + 1;
+      rounds.wake.erase(seq);
+      Active& active = *engines_[seq];
+      const std::size_t grant = grant_for(active.tenant);
+      ++rounds.visits;
+      if (!active.engine->can_progress(grant)) continue;
+      progress |= step_engine(active, grant);
     }
     // Work-conserving second pass: leftover headroom goes to whoever has
     // ready jobs, weights notwithstanding — idle capacity helps no tenant.
-    if (capped && headroom > 0) {
-      for (auto& active : active_) {
-        if (headroom == 0) break;
-        if (active->engine->is_done() || active->engine->ready_count() == 0) {
-          continue;
-        }
-        progress |= step_engine(*active, headroom, headroom);
-      }
+    for (std::uint64_t from = 0; capped && headroom > 0;) {
+      const std::uint64_t seq = next_ready(from, [](std::size_t) { return true; });
+      if (seq == kNoEngine) break;
+      from = seq + 1;
+      progress |= step_engine(*engines_[seq], headroom);
     }
-    for (std::size_t slot = 0; slot < active_.size();) {
-      if (active_[slot]->engine->is_done()) {
-        reap(slot, outcomes);
-      } else {
-        ++slot;
-      }
-    }
+    std::sort(rounds.finished.begin(), rounds.finished.end());
+    for (const std::uint64_t seq : rounds.finished) reap(seq, outcomes);
+    rounds.finished.clear();
     if (progress) continue;
 
     // Quiet round: nobody could submit or consume. Advance the shared
     // timeline — but never past the earliest engine deadline (backoff
     // release / attempt timeout / held completion) or the next arrival.
-    double fence = std::numeric_limits<double>::infinity();
-    for (const auto& active : active_) fence = std::min(fence, active->deadline);
+    double fence = rounds.deadlines.empty() ? std::numeric_limits<double>::infinity()
+                                            : rounds.deadlines.begin()->first;
     if (next_arrival < requests.size()) {
       fence = std::min(fence, requests[next_arrival].arrival_seconds);
     }
@@ -412,7 +551,7 @@ FleetResult FleetController::run(
     if (std::isinf(fence)) {
       // No events, no deadlines, no arrivals — yet engines are alive.
       throw common::SimulationError(
-          "fleet deadlock: " + std::to_string(active_.size()) +
+          "fleet deadlock: " + std::to_string(live_) +
           " engines waiting with no pending events at t=" +
           std::to_string(queue_.now()));
     }
@@ -430,6 +569,8 @@ FleetResult FleetController::run(
   result.peak_jobs_in_flight = telemetry_.peak_jobs_in_flight();
   result.events_processed = queue_.processed() - start_events;
   result.engine_events = telemetry_.engine_events();
+  result.engine_visits = rounds.visits;
+  result.engine_steps = rounds.steps;
   result.finished_at_seconds = queue_.now();
   result.p50_makespan_seconds = telemetry_.makespan_percentile(50);
   result.p99_makespan_seconds = telemetry_.makespan_percentile(99);

@@ -19,10 +19,14 @@
 //     never blocks, and a round steps an engine only when it can make
 //     progress (EngineInstance::can_progress) or a queue event is due at
 //     the current instant, which its poll would run; skipping the others
-//     changes no byte. The controller owns the clock and only advances it
-//     to the earliest engine deadline (stored after each step) / arrival /
-//     platform event, so 10k interleaved workflows stay exactly as
-//     deterministic as one;
+//     changes no byte. A round never scans the live engines: it walks, in
+//     admission order, a wake set (filled by the services' completion
+//     wake hook, due deadlines, admissions and each stepped engine), a
+//     per-tenant ready index and a deadline index, so it costs O(engines
+//     that can act). The controller owns the clock and only advances it to
+//     the earliest engine deadline (the deadline index's first entry) /
+//     arrival / platform event, so 10k interleaved workflows stay exactly
+//     as deterministic as one;
 //   * fair-share submission: a fleet-wide jobs-in-flight cap is split
 //     into per-tenant budgets proportional to weight each scheduling
 //     round, with a second work-conserving pass granting leftover
@@ -108,7 +112,7 @@ struct FleetOptions {
   std::optional<wms::ChaosConfig> chaos = {};
   /// Runaway guard across the whole fleet run (queue events).
   std::uint64_t max_events = 1'000'000'000;
-  /// Events pumped per quiet round before re-scanning engines; bounds how
+  /// Events pumped per quiet round before the next round; bounds how
   /// stale budgets can get, not correctness.
   std::size_t pump_batch = 1024;
 };
@@ -139,6 +143,12 @@ struct FleetResult {
   std::size_t peak_jobs_in_flight = 0;
   std::uint64_t events_processed = 0;  ///< queue events this run consumed
   std::size_t engine_events = 0;       ///< EngineEvents across all engines
+  /// Round work: can_progress evaluations and step_cooperative calls. A
+  /// round visits only engines that were woken or hold ready jobs under a
+  /// grant, so visits stay within a small multiple of steps however many
+  /// engines are alive.
+  std::uint64_t engine_visits = 0;
+  std::uint64_t engine_steps = 0;
   double finished_at_seconds = 0;      ///< clock when the last engine drained
   double p50_makespan_seconds = 0;
   double p99_makespan_seconds = 0;
@@ -184,10 +194,14 @@ class FleetController {
 
  private:
   struct Active;  // one admitted workflow: plan + services + engine
+  struct Rounds;  // run()'s wake, ready and deadline indexes
 
   void admit(const workload::WorkflowRequest& request);
   [[nodiscard]] double tenant_deficit(std::size_t tenant) const;
-  void reap(std::size_t slot, std::vector<WorkflowOutcome>& outcomes);
+  /// Brings `active`'s ready-index and deadline-index entries up to date
+  /// after its engine was constructed or stepped.
+  void reindex(Active& active);
+  void reap(std::uint64_t seq, std::vector<WorkflowOutcome>& outcomes);
 
   sim::EventQueue& queue_;
   FleetOptions options_;
@@ -199,7 +213,11 @@ class FleetController {
   std::unique_ptr<data::TransferManager> transfers_;
   std::unique_ptr<data::StorageEventBus> storage_bus_;
 
-  std::vector<std::unique_ptr<Active>> active_;   ///< admission order
+  /// Admitted engines by admission sequence number; a reaped engine
+  /// leaves its slot empty.
+  std::vector<std::unique_ptr<Active>> engines_;
+  std::size_t live_ = 0;            ///< engines admitted and not yet reaped
+  std::unique_ptr<Rounds> rounds_;  ///< built by run()
   std::vector<std::size_t> tenant_in_flight_;     ///< live jobs per tenant
   std::vector<std::size_t> tenant_active_;        ///< live engines per tenant
   std::vector<std::size_t> platform_in_flight_;   ///< [0]=campus, [1]=osg

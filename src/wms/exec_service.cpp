@@ -97,13 +97,15 @@ void SimService::submit(const ConcreteJob& job) {
   sim_job.cpu_seconds = job.cpu_seconds_hint;
   sim_job.needs_software_setup = job.needs_software_setup;
   sim_job.software_bytes = job.software_bytes;
-  // A bare pointer keeps the callback inside std::function's small buffer;
-  // the inbox outlives it (see ~SimService).
-  platform_.submit(sim_job, [inbox = inbox_.get()](const sim::AttemptResult& result) {
+  // A bare pointer and the job handle keep the callback inside
+  // std::function's small buffer; the inbox outlives it (see ~SimService).
+  platform_.submit(sim_job, [inbox = inbox_.get(),
+                             handle = job.index](const sim::AttemptResult& result) {
     --inbox->outstanding;
     if (inbox->orphaned) return;
     TaskAttempt attempt;
     attempt.job_id = result.job_id;
+    attempt.job = handle;
     attempt.transformation = result.transformation;
     attempt.success = result.success;
     attempt.error = result.failure;
@@ -114,7 +116,7 @@ void SimService::submit(const ConcreteJob& job) {
     attempt.install_seconds = result.install_seconds;
     attempt.exec_seconds = result.exec_seconds;
     attempt.install_cache_hit = result.install_cache_hit;
-    inbox->completed.push_back(std::move(attempt));
+    inbox->deliver(std::move(attempt));
   });
 }
 

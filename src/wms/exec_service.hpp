@@ -15,6 +15,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/stopwatch.hpp"
@@ -46,6 +47,18 @@ struct TaskAttempt {
   std::size_t transfer_attempts = 0;    ///< transfer tries incl. retries
 };
 
+/// A cooperative driver's doorbell: rung each time a completion lands
+/// where the next poll() will find it, so the driver (the WaaS fleet) knows
+/// which engine to visit without asking every one. A bare function pointer
+/// and context keep it trivially copyable; an unset hook rings nothing.
+struct WakeHook {
+  void (*fn)(void* context) = nullptr;
+  void* context = nullptr;
+  void ring() const {
+    if (fn != nullptr) fn(context);
+  }
+};
+
 /// Where a simulated service's platform or transfer callbacks deliver
 /// finished attempts. An attempt can outlive its service (written off by an
 /// engine timeout, then its workflow torn down), so a service destroyed
@@ -56,6 +69,13 @@ struct CompletionInbox {
   std::vector<TaskAttempt> completed;
   std::size_t outstanding = 0;  ///< submitted, callback not yet run
   bool orphaned = false;        ///< its service is gone
+  WakeHook wake;                ///< rung on every deliver()
+
+  /// Stores one finished attempt and rings the wake hook.
+  void deliver(TaskAttempt attempt) {
+    completed.push_back(std::move(attempt));
+    wake.ring();
+  }
 };
 
 /// Completion-pump interface. The engine calls submit() for ready jobs and
@@ -107,6 +127,15 @@ class ExecutionService {
   [[nodiscard]] virtual double next_event_time() {
     return std::numeric_limits<double>::infinity();
   }
+
+  /// Installs `hook`, rung whenever a completion lands where has_output()
+  /// will report it — the delivery half of a cooperative driver's wake set.
+  /// Services whose output can also appear inside their own poll()/submit()
+  /// (a fault injector's synthesized failure) rely on the driver revisiting
+  /// an engine after its own step. The default ignores the hook: only the
+  /// simulated stack the fleet builds (SimService, StagingService,
+  /// FaultyService) implements it.
+  virtual void set_wake_hook(const WakeHook& hook) { (void)hook; }
 
   /// Advisory hint: the scheduler blacklisted `node`; place future attempts
   /// elsewhere when possible. Default ignores it.
@@ -170,6 +199,7 @@ class SimService final : public ExecutionService {
   std::vector<TaskAttempt> wait() override;
   std::vector<TaskAttempt> wait_for(double timeout_seconds) override;
   [[nodiscard]] bool has_output() override { return !inbox_->completed.empty(); }
+  void set_wake_hook(const WakeHook& hook) override { inbox_->wake = hook; }
   void avoid_node(const std::string& node) override { platform_.avoid_node(node); }
   double now() override;
   [[nodiscard]] std::string label() const override { return platform_.name(); }

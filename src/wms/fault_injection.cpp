@@ -142,6 +142,7 @@ void FaultyService::submit(const ConcreteJob& job) {
     ++injected_failures_;
     TaskAttempt failed;
     failed.job_id = job.id;
+    failed.job = job.index;
     failed.transformation = job.transformation;
     failed.success = false;
     failed.error = do_fail != nullptr ? do_fail->error : chaos_fail_error;

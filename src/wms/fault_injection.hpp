@@ -133,6 +133,10 @@ class FaultyService final : public ExecutionService {
   /// A synthesized failure waiting in due_, an inner completion, or a held
   /// delayed completion whose release time has come.
   [[nodiscard]] bool has_output() override;
+  /// Inner completions ring through the inner service. What this decorator
+  /// adds to due_ or releases from held_ happens inside the engine's own
+  /// poll or submit, or on a deadline next_event_time() already announces.
+  void set_wake_hook(const WakeHook& hook) override { inner_.set_wake_hook(hook); }
   void avoid_node(const std::string& node) override { inner_.avoid_node(node); }
   double now() override { return inner_.now(); }
   /// Delayed completions are parked in held_, invisible to any event

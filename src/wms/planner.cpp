@@ -37,11 +37,15 @@ void ConcreteWorkflow::finish_bulk() {
   bulk_open_ = false;
   for (std::uint32_t i = 0; i < jobs_.size(); ++i) {
     ConcreteJob& job = jobs_[i];
-    if (job.id.empty()) {
-      throw InvalidArgument("bulk job " + std::to_string(i) + " has no id");
-    }
-    if (ids_.intern(job.id) != i) {
-      throw InvalidArgument("duplicate job id: " + job.id);
+    if (job.id.empty() || ids_.intern(job.id) != i) {
+      // All or nothing: the workflow goes back to the empty state
+      // begin_bulk found, so no half-interned job set survives.
+      std::string message = job.id.empty()
+                                ? common::cat({"bulk job ", std::to_string(i), " has no id"})
+                                : common::cat({"duplicate job id: ", job.id});
+      jobs_.clear();
+      ids_ = IdTable();
+      throw InvalidArgument(message);
     }
     job.index = i;
   }

@@ -77,8 +77,10 @@ class ConcreteWorkflow : public WorkflowBase<ConcreteWorkflow, ConcreteJob> {
   /// array for the caller to fill (in parallel over disjoint ranges — only
   /// plain field writes happen here). finish_bulk() then interns every id
   /// sequentially (the interner is not thread-safe), assigns handles, and
-  /// validates non-empty/unique ids. The workflow must be empty before
-  /// begin_bulk and jobs()/add_job must not be used in between.
+  /// validates non-empty/unique ids; on an empty or duplicate id it throws
+  /// InvalidArgument and leaves the workflow empty, as begin_bulk found
+  /// it. The workflow must be empty before begin_bulk and jobs()/add_job
+  /// must not be used in between.
   ConcreteJob* begin_bulk(std::size_t count);
   void finish_bulk();
 

@@ -19,6 +19,7 @@
 #include "bio/alphabet.hpp"
 #include "bio/transcriptome.hpp"
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 
 namespace pga::golden {
 
@@ -42,7 +43,7 @@ inline std::vector<bio::SeqRecord> gene_fragments(std::size_t genes,
     for (std::size_t f = 0; f < fragments_per_gene; ++f) {
       const std::size_t len = 400 + rng.below(500);
       const std::size_t start = rng.below(gene.size() - len + 1);
-      out.push_back({"g" + std::to_string(g) + "_f" + std::to_string(f), "",
+      out.push_back({common::cat({"g", std::to_string(g), "_f", std::to_string(f)}), "",
                      gene.substr(start, len)});
     }
   }
@@ -72,8 +73,8 @@ inline std::string serialize_assembly(const assembly::AssemblyResult& result) {
   for (const auto& s : result.singlets) {
     out += "S " + s.id + '\n';
   }
-  out += "overlaps_considered " + std::to_string(result.overlaps_considered) + '\n';
-  out += "overlaps_applied " + std::to_string(result.overlaps_applied) + '\n';
+  out += common::cat({"overlaps_considered ", std::to_string(result.overlaps_considered), "\n"});
+  out += common::cat({"overlaps_applied ", std::to_string(result.overlaps_applied), "\n"});
   return out;
 }
 

@@ -6,6 +6,7 @@
 #include "align/sw.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "common/thread_pool.hpp"
 
 namespace pga::assembly {
@@ -200,9 +201,9 @@ TEST(FindOverlaps, RepeatSuppressionBlocksHyperFrequentKmers) {
     // Half carry the repeat terminally at the 3' end, half at the 5' end,
     // so (end, start) pairs form suffix-prefix dovetails through it.
     if (i % 2 == 0) {
-      seqs.push_back({"s" + std::to_string(i), "", random_dna(150, rng) + repeat});
+      seqs.push_back({common::cat({"s", std::to_string(i)}), "", random_dna(150, rng) + repeat});
     } else {
-      seqs.push_back({"s" + std::to_string(i), "", repeat + random_dna(150, rng)});
+      seqs.push_back({common::cat({"s", std::to_string(i)}), "", repeat + random_dna(150, rng)});
     }
   }
   OverlapParams permissive;
@@ -248,7 +249,7 @@ std::vector<bio::SeqRecord> gene_fragment_set(std::uint64_t seed) {
     for (int f = 0; f < 10; ++f) {
       const std::size_t len = 300 + rng.below(400);
       const std::size_t start = rng.below(gene.size() - len + 1);
-      seqs.push_back({"g" + std::to_string(g) + "f" + std::to_string(f), "",
+      seqs.push_back({common::cat({"g", std::to_string(g), "f", std::to_string(f)}), "",
                       gene.substr(start, len)});
     }
   }

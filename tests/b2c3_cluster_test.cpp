@@ -6,6 +6,7 @@
 #include <set>
 
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 
 namespace pga::b2c3 {
 namespace {
@@ -75,8 +76,8 @@ TEST(Cluster, ResultIsPartition) {
   std::vector<align::TabularHit> hits;
   std::set<std::string> transcripts;
   for (int i = 0; i < 500; ++i) {
-    const std::string q = "t" + std::to_string(rng.below(120));
-    const std::string s = "p" + std::to_string(rng.below(15));
+    const std::string q = common::cat({"t", std::to_string(rng.below(120))});
+    const std::string s = common::cat({"p", std::to_string(rng.below(15))});
     hits.push_back(hit(q, s, static_cast<double>(rng.below(200))));
     transcripts.insert(q);
   }
@@ -164,8 +165,8 @@ TEST(SharedHitCluster, IsAPartition) {
   std::vector<align::TabularHit> hits;
   std::set<std::string> queries;
   for (int i = 0; i < 600; ++i) {
-    const std::string q = "t" + std::to_string(rng.below(100));
-    hits.push_back(hit(q, "p" + std::to_string(rng.below(20)),
+    const std::string q = common::cat({"t", std::to_string(rng.below(100))});
+    hits.push_back(hit(q, common::cat({"p", std::to_string(rng.below(20))}),
                        static_cast<double>(rng.below(200))));
     queries.insert(q);
   }
@@ -184,8 +185,8 @@ TEST(SharedHitCluster, NeverFinerThanBestHit) {
   common::Rng rng(89);
   std::vector<align::TabularHit> hits;
   for (int i = 0; i < 400; ++i) {
-    hits.push_back(hit("t" + std::to_string(rng.below(80)),
-                       "p" + std::to_string(rng.below(15)),
+    hits.push_back(hit(common::cat({"t", std::to_string(rng.below(80))}),
+                       common::cat({"p", std::to_string(rng.below(15))}),
                        static_cast<double>(rng.below(300))));
   }
   const auto fine = cluster_by_best_hit(hits);

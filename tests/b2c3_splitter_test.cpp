@@ -10,6 +10,7 @@
 #include "common/error.hpp"
 #include "common/fsutil.hpp"
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 
 namespace pga::b2c3 {
 namespace {
@@ -34,8 +35,8 @@ std::vector<align::TabularHit> random_hits(std::size_t n_hits, std::size_t n_pro
   common::Rng rng(seed);
   std::vector<align::TabularHit> hits;
   for (std::size_t i = 0; i < n_hits; ++i) {
-    hits.push_back(hit("t" + std::to_string(i),
-                       "p" + std::to_string(rng.zipf(n_proteins, 1.1))));
+    hits.push_back(hit(common::cat({"t", std::to_string(i)}),
+                       common::cat({"p", std::to_string(rng.zipf(n_proteins, 1.1))})));
   }
   return hits;
 }
@@ -72,7 +73,8 @@ TEST(Split, BalancedLoads) {
   std::vector<align::TabularHit> hits;
   for (int p = 0; p < 60; ++p) {
     for (int i = 0; i < 10; ++i) {
-      hits.push_back(hit("t" + std::to_string(p * 10 + i), "p" + std::to_string(p)));
+      hits.push_back(hit(common::cat({"t", std::to_string(p * 10 + i)}),
+                         common::cat({"p", std::to_string(p)})));
     }
   }
   const auto chunks = split_hits(hits, 6);
@@ -133,10 +135,10 @@ TEST(SplitComponentAtomic, SharedHitClusteringSurvivesSplitting) {
   common::Rng rng(77);
   std::vector<align::TabularHit> hits;
   for (int i = 0; i < 400; ++i) {
-    const std::string q = "t" + std::to_string(i);
-    hits.push_back(hit(q, "p" + std::to_string(rng.below(30))));
+    const std::string q = common::cat({"t", std::to_string(i)});
+    hits.push_back(hit(q, common::cat({"p", std::to_string(rng.below(30))})));
     if (rng.chance(0.3)) {
-      hits.push_back(hit(q, "p" + std::to_string(rng.below(30))));  // 2nd domain
+      hits.push_back(hit(q, common::cat({"p", std::to_string(rng.below(30))})));  // 2nd domain
     }
   }
   const auto chunks = b2c3::split_hits_component_atomic(hits, 6);
@@ -168,7 +170,8 @@ TEST(SplitComponentAtomic, PlainProteinSplitWouldBreakComponents) {
   std::vector<align::TabularHit> hits;
   for (int p = 0; p < 8; ++p) {
     for (int i = 0; i < 10; ++i) {
-      hits.push_back(hit("t" + std::to_string(p * 10 + i), "p" + std::to_string(p)));
+      hits.push_back(hit(common::cat({"t", std::to_string(p * 10 + i)}),
+                         common::cat({"p", std::to_string(p)})));
     }
   }
   // One bridge transcript linking p0 and p7.
@@ -194,9 +197,10 @@ TEST(Split, HeavyTailedLoadStillAtomic) {
   // and that chunk dominates the load (the n=10 straggler effect from the
   // paper's Fig. 4).
   std::vector<align::TabularHit> hits;
-  for (int i = 0; i < 500; ++i) hits.push_back(hit("t" + std::to_string(i), "big"));
+  for (int i = 0; i < 500; ++i) hits.push_back(hit(common::cat({"t", std::to_string(i)}), "big"));
   for (int i = 500; i < 1000; ++i) {
-    hits.push_back(hit("t" + std::to_string(i), "p" + std::to_string(i % 37)));
+    hits.push_back(hit(common::cat({"t", std::to_string(i)}),
+                       common::cat({"p", std::to_string(i % 37)})));
   }
   const auto chunks = split_hits(hits, 8);
   std::size_t max_chunk = 0;

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/digest.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "sim/event_queue.hpp"
 
 namespace pga::data {
@@ -117,7 +122,7 @@ TEST(TransferManager, SlotContentionQueuesFifo) {
 
   std::vector<std::string> order;
   for (int i = 0; i < 3; ++i) {
-    tm.transfer("f" + std::to_string(i), 10'000'000, "src", "dst",
+    tm.transfer(common::cat({"f", std::to_string(i)}), 10'000'000, "src", "dst",
                 [&order](const TransferResult& r) { order.push_back(r.lfn); });
   }
   // One src slot: one running, two queued.
@@ -181,7 +186,7 @@ TEST(TransferManager, SeededFailuresReplayByteIdentically) {
     TransferManager tm(queue, config);
     std::vector<TransferResult> results;
     for (int i = 0; i < 20; ++i) {
-      tm.transfer("f" + std::to_string(i), 5'000'000, "a", "b",
+      tm.transfer(common::cat({"f", std::to_string(i)}), 5'000'000, "a", "b",
                   [&](const TransferResult& r) { results.push_back(r); });
     }
     queue.run();
@@ -204,6 +209,125 @@ TEST(TransferManager, SeededFailuresReplayByteIdentically) {
     any_difference = first[i].attempts != other[i].attempts;
   }
   EXPECT_TRUE(any_difference);
+}
+
+// A seeded workload over six site pairs (a same-site one included) with
+// failures, partial attempts and retries, submitted over time. The digest
+// folds every completion in order, pinning which queued request each
+// freed slot goes to. The literal is that of one FIFO over all requests
+// scanned for the first dispatchable one.
+TEST(TransferManager, MixedPairCompletionOrderIsPinned) {
+  sim::EventQueue queue;
+  TransferConfig config;
+  config.latency_seconds = 1.5;
+  config.failure_probability = 0.3;
+  config.max_retries = 3;
+  config.retry_backoff_seconds = 7;
+  config.seed = 2024;
+  TransferManager tm(queue, config);
+  tm.add_element(site("local", 40e6, /*slots=*/2));
+  tm.add_element(site("a", 10e6, /*slots=*/1));
+  tm.add_element(site("b", 25e6, /*slots=*/2));
+  tm.add_element(site("c", 5e6, /*slots=*/3));
+  const std::vector<std::pair<const char*, const char*>> pairs = {
+      {"local", "a"}, {"local", "b"}, {"a", "local"},
+      {"b", "c"},     {"c", "c"},     {"a", "b"}};
+
+  std::vector<std::string> lines;
+  common::Rng draw(17);
+  for (int i = 0; i < 60; ++i) {
+    const auto& [source, dest] = pairs[draw.below(pairs.size())];
+    const std::uint64_t bytes = 1'000'000 * (1 + draw.below(40));
+    const double at = 3.0 * static_cast<double>(i / 4);
+    queue.schedule(at, [&tm, &lines, i, bytes, source = source, dest = dest] {
+      tm.transfer(common::cat({"f", std::to_string(i)}), bytes, source, dest,
+                  [&lines](const TransferResult& r) {
+                    lines.push_back(common::cat(
+                        {r.lfn, " ", r.source_site, ">", r.dest_site, " ",
+                         std::to_string(r.attempts), r.success ? " ok " : " failed ",
+                         common::format_fixed(r.start_time, 6), " ",
+                         common::format_fixed(r.end_time, 6)}));
+                  });
+    });
+  }
+  queue.run();
+  ASSERT_EQ(lines.size(), 60u);
+  EXPECT_GT(tm.stats().retries, 0u);
+  EXPECT_EQ(tm.queued(), 0u);
+  EXPECT_EQ(tm.in_flight(), 0u);
+  EXPECT_EQ(common::lines_digest(lines), 0x54f64a30b0c93545ULL);
+}
+
+// A failed attempt re-enters its pair's queue at the back: requests that
+// were queued behind it the first time now go first. One source slot
+// serialises f0..f3; the seed is the first whose draws fail f0's first
+// attempt and pass every other one (the manager draws once per start, plus
+// a partial-progress draw on a failure).
+TEST(TransferManager, RetriedRequestRequeuesBehindNewerRequests) {
+  constexpr double kFail = 0.5;
+  std::uint64_t seed = 1;
+  for (;; ++seed) {
+    common::Rng probe(seed);
+    if (probe.uniform() >= kFail) continue;  // f0 fails...
+    (void)probe.uniform();                   // ...partway through
+    bool rest_pass = true;
+    for (int start = 0; start < 4; ++start) rest_pass &= probe.uniform() >= kFail;
+    if (rest_pass) break;
+  }
+  sim::EventQueue queue;
+  TransferConfig config;
+  config.failure_probability = kFail;
+  config.retry_backoff_seconds = 0;
+  config.seed = seed;
+  TransferManager tm(queue, config);
+  tm.add_element(site("src", 10e6, /*slots=*/1));
+  tm.add_element(site("dst", 10e6, /*slots=*/4));
+
+  std::vector<std::string> order;
+  std::vector<std::size_t> attempts;
+  for (int i = 0; i < 4; ++i) {
+    tm.transfer(common::cat({"f", std::to_string(i)}), 10'000'000, "src", "dst",
+                [&](const TransferResult& r) {
+                  order.push_back(r.lfn);
+                  attempts.push_back(r.attempts);
+                });
+  }
+  queue.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"f1", "f2", "f3", "f0"}));
+  EXPECT_EQ(attempts, (std::vector<std::size_t>{1, 1, 1, 2}));
+  EXPECT_EQ(tm.stats().retries, 1u);
+}
+
+// Re-registering a site replaces its element in place while a request
+// naming it still waits: the request then runs against the new element
+// (its bandwidth, its storage) and nothing dangles.
+TEST(TransferManager, ReRegisteringAWaitingSiteRunsAgainstTheNewElement) {
+  sim::EventQueue queue;
+  TransferConfig config;
+  config.latency_seconds = 1;
+  TransferManager tm(queue, config);
+  tm.add_element(site("local", 10e6, /*slots=*/1));
+  tm.add_element(site("x", 10e6, /*slots=*/1));
+  tm.add_element(site("y", 10e6, /*slots=*/1));
+
+  std::vector<TransferResult> results;
+  const auto record = [&results](const TransferResult& r) { results.push_back(r); };
+  tm.transfer("first", 10'000'000, "local", "x", record);
+  tm.transfer("waits", 10'000'000, "local", "y", record);
+  ASSERT_EQ(tm.queued(), 1u);
+  tm.add_element(site("y", 2e6, /*slots=*/1));
+  queue.run();
+
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[1].lfn, "waits");
+  EXPECT_TRUE(results[1].success);
+  EXPECT_EQ(results[1].dest_site, "y");
+  // Starts when "first" frees the local slot at 2 s; 10 MB over the new
+  // element's 2 MB/s ingest is 5 s, plus the handshake.
+  EXPECT_NEAR(results[1].start_time, 2.0, 1e-9);
+  EXPECT_NEAR(results[1].end_time, 8.0, 1e-9);
+  EXPECT_TRUE(tm.element("y").holds("waits"));
+  EXPECT_EQ(tm.element("y").active_transfers(), 0u);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "bio/fasta.hpp"
 #include "bio/transcriptome.hpp"
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "common/thread_pool.hpp"
 #include "core/b2c3_workflow.hpp"
 #include "core/workload.hpp"
@@ -60,8 +61,8 @@ TEST_P(SeedProperty, ClusteringIsAlwaysAPartition) {
   std::set<std::string> queries;
   for (int i = 0; i < 400; ++i) {
     align::TabularHit hit;
-    hit.qseqid = "t" + std::to_string(rng.below(90));
-    hit.sseqid = "p" + std::to_string(rng.below(12));
+    hit.qseqid = common::cat({"t", std::to_string(rng.below(90))});
+    hit.sseqid = common::cat({"p", std::to_string(rng.below(12))});
     hit.bitscore = static_cast<double>(rng.below(300));
     hit.evalue = 1e-10;
     queries.insert(hit.qseqid);
@@ -138,7 +139,7 @@ TEST_P(SeedProperty, SimulatedAttemptTimingInvariants) {
   sim::OsgPlatform platform(queue, config);
   std::vector<sim::AttemptResult> attempts;
   for (int i = 0; i < 40; ++i) {
-    platform.submit({"j" + std::to_string(i), "t", 2'000, true},
+    platform.submit({common::cat({"j", std::to_string(i)}), "t", 2'000, true},
                     [&attempts](const sim::AttemptResult& r) {
                       attempts.push_back(r);
                     });
@@ -163,7 +164,7 @@ TEST_P(SeedProperty, CampusClusterNeverFails) {
   sim::CampusClusterPlatform platform(queue, config);
   std::size_t successes = 0;
   for (int i = 0; i < 50; ++i) {
-    platform.submit({"j" + std::to_string(i), "t", 500, false},
+    platform.submit({common::cat({"j", std::to_string(i)}), "t", 500, false},
                     [&successes](const sim::AttemptResult& r) {
                       if (r.success) ++successes;
                     });
@@ -188,8 +189,8 @@ TEST_P(SplitProperty, SplitIsLosslessAndProteinAtomic) {
   std::vector<align::TabularHit> hits;
   for (int i = 0; i < 600; ++i) {
     align::TabularHit hit;
-    hit.qseqid = "t" + std::to_string(i);
-    hit.sseqid = "p" + std::to_string(rng.zipf(40, 1.0));
+    hit.qseqid = common::cat({"t", std::to_string(i)});
+    hit.sseqid = common::cat({"p", std::to_string(rng.zipf(40, 1.0))});
     hit.bitscore = 100;
     hit.evalue = 1e-10;
     hits.push_back(std::move(hit));

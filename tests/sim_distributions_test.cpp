@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/strings.hpp"
 #include "common/summary.hpp"
 #include "sim/campus_cluster.hpp"
 #include "sim/osg.hpp"
@@ -19,7 +20,7 @@ std::vector<AttemptResult> collect(ExecutionPlatform& platform, EventQueue& queu
                                    bool setup) {
   std::vector<AttemptResult> attempts;
   for (std::size_t i = 0; i < jobs; ++i) {
-    platform.submit({"j" + std::to_string(i), "t", cpu_seconds, setup},
+    platform.submit({common::cat({"j", std::to_string(i)}), "t", cpu_seconds, setup},
                     [&attempts](const AttemptResult& r) { attempts.push_back(r); });
   }
   queue.run();
@@ -136,7 +137,7 @@ TEST(CampusDistributions, UtilizationSaturatesAtAllocation) {
   std::size_t max_queued = 0;
   std::vector<AttemptResult> attempts;
   for (std::size_t i = 0; i < 64; ++i) {
-    platform.submit({"j" + std::to_string(i), "t", 10'000, false},
+    platform.submit({common::cat({"j", std::to_string(i)}), "t", 10'000, false},
                     [&](const AttemptResult& r) {
                       attempts.push_back(r);
                       max_queued = std::max(max_queued, platform.queued());

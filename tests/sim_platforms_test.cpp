@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/strings.hpp"
 #include "sim/campus_cluster.hpp"
 #include "sim/cloud.hpp"
 #include "sim/osg.hpp"
@@ -49,7 +50,7 @@ TEST(CampusCluster, RunsAllJobsSuccessfully) {
   config.allocated_slots = 4;
   CampusClusterPlatform platform(h.queue, config);
   std::vector<SimJob> jobs;
-  for (int i = 0; i < 20; ++i) jobs.push_back(job("j" + std::to_string(i), 600));
+  for (int i = 0; i < 20; ++i) jobs.push_back(job(common::cat({"j", std::to_string(i)}), 600));
   h.run_all(platform, jobs);
   EXPECT_EQ(h.final_results.size(), 20u);
   for (const auto& [id, r] : h.final_results) {
@@ -65,7 +66,7 @@ TEST(CampusCluster, WaitingTimeSmallWhenUnsaturated) {
   config.allocated_slots = 32;
   CampusClusterPlatform platform(h.queue, config);
   std::vector<SimJob> jobs;
-  for (int i = 0; i < 10; ++i) jobs.push_back(job("j" + std::to_string(i), 3'600));
+  for (int i = 0; i < 10; ++i) jobs.push_back(job(common::cat({"j", std::to_string(i)}), 3'600));
   h.run_all(platform, jobs);
   for (const auto& [id, r] : h.final_results) {
     // Dispatch latency only: well under 5 minutes.
@@ -82,7 +83,7 @@ TEST(CampusCluster, SlotsLimitConcurrency) {
   config.node_speed_max = 1.0;
   CampusClusterPlatform platform(h.queue, config);
   std::vector<SimJob> jobs;
-  for (int i = 0; i < 8; ++i) jobs.push_back(job("j" + std::to_string(i), 1'000));
+  for (int i = 0; i < 8; ++i) jobs.push_back(job(common::cat({"j", std::to_string(i)}), 1'000));
   h.run_all(platform, jobs);
   double makespan = 0;
   for (const auto& [id, r] : h.final_results) makespan = std::max(makespan, r.end_time);
@@ -105,7 +106,7 @@ TEST(CampusCluster, DeterministicForSeed) {
     config.seed = 77;
     CampusClusterPlatform platform(h.queue, config);
     std::vector<SimJob> jobs;
-    for (int i = 0; i < 12; ++i) jobs.push_back(job("j" + std::to_string(i), 500));
+    for (int i = 0; i < 12; ++i) jobs.push_back(job(common::cat({"j", std::to_string(i)}), 500));
     h.run_all(platform, jobs);
     double makespan = 0;
     for (const auto& [id, r] : h.final_results) {
@@ -166,7 +167,8 @@ TEST(Osg, PreemptionCausesRetries) {
   config.seed = 11;
   OsgPlatform platform(h.queue, config);
   std::vector<SimJob> jobs;
-  for (int i = 0; i < 30; ++i) jobs.push_back(job("j" + std::to_string(i), 3'000, true));
+  for (int i = 0; i < 30; ++i) jobs.push_back(job(common::cat({"j", std::to_string(i)}),
+                                                  3'000, true));
   h.run_all(platform, jobs, /*max_retries=*/50);
   EXPECT_GT(platform.preemptions(), 0u);
   int total_attempts = 0;
@@ -183,7 +185,7 @@ TEST(Osg, PreemptedAttemptReportsPartialExecution) {
   OsgPlatform platform(h.queue, config);
   bool saw_preemption = false;
   for (int i = 0; i < 20 && !saw_preemption; ++i) {
-    platform.submit(job("p" + std::to_string(i), 50'000, true),
+    platform.submit(job(common::cat({"p", std::to_string(i)}), 50'000, true),
                     [&](const AttemptResult& r) {
                       if (!r.success) {
                         saw_preemption = true;
@@ -204,7 +206,7 @@ TEST(Osg, WaitingTimeHeavyTailed) {
   config.seed = 17;
   OsgPlatform platform(h.queue, config);
   std::vector<SimJob> jobs;
-  for (int i = 0; i < 200; ++i) jobs.push_back(job("j" + std::to_string(i), 10));
+  for (int i = 0; i < 200; ++i) jobs.push_back(job(common::cat({"j", std::to_string(i)}), 10));
   h.run_all(platform, jobs);
   double max_wait = 0, min_wait = 1e18;
   for (const auto& [id, r] : h.final_results) {
@@ -225,7 +227,7 @@ TEST(Osg, CapacityFluctuates) {
   config.seed = 19;
   OsgPlatform platform(h.queue, config);
   std::vector<SimJob> jobs;
-  for (int i = 0; i < 50; ++i) jobs.push_back(job("j" + std::to_string(i), 5'000));
+  for (int i = 0; i < 50; ++i) jobs.push_back(job(common::cat({"j", std::to_string(i)}), 5'000));
   // Track capacity over the run via completion callbacks.
   std::vector<std::size_t> capacities;
   for (const auto& j : jobs) {
@@ -263,7 +265,7 @@ TEST(Cloud, ProvisionsVmsOnceAndReusesThem) {
   config.vms = 4;
   CloudPlatform platform(h.queue, config);
   std::vector<SimJob> jobs;
-  for (int i = 0; i < 16; ++i) jobs.push_back(job("j" + std::to_string(i), 1'000));
+  for (int i = 0; i < 16; ++i) jobs.push_back(job(common::cat({"j", std::to_string(i)}), 1'000));
   h.run_all(platform, jobs);
   EXPECT_EQ(h.final_results.size(), 16u);
   EXPECT_LE(platform.provisioned(), 4u);

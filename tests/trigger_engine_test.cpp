@@ -34,7 +34,7 @@ data::StorageEvent closew(const char* site, const char* lfn,
 TriggerRule rule_named(const char* name, const char* glob = "*") {
   TriggerRule rule;
   rule.name = name;
-  rule.lfn_glob = glob;
+  rule.lfn_glob = std::string(glob);
   rule.shape.shape = workload::Shape::kChain;
   rule.shape.size = 2;
   return rule;

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -364,6 +366,122 @@ TEST(FleetController, PinnedDigestWithCompletionsAtOneInstant) {
   EXPECT_EQ(result.workflows_succeeded, 2u);
   EXPECT_EQ(result.digest, 0xf9313f0a36e58b96ULL);
   EXPECT_EQ(result.events_processed, 14u);
+}
+
+// The wake sources of a round, each pinned on its own. Literals are those
+// of a round that asks every live engine whether it can progress.
+
+// Uncapped: every grant is unlimited, so ready engines always pass and the
+// ready index alone decides who submits.
+TEST(FleetController, PinnedDigestUncapped) {
+  PinnedFleet fleet = pinned_fleet(false, false);
+  fleet.options.max_jobs_in_flight = 0;
+  const FleetResult result = run_fleet(fleet.options, fleet.requests);
+  EXPECT_EQ(result.workflows_completed, 120u);
+  EXPECT_EQ(result.digest, 0x22c283ed3fbf6ffbULL);
+  EXPECT_EQ(result.events_processed, 3335u);
+}
+
+// 4:1 weights under a tight cap, both tenants running wide fans: the light
+// tenant's engines hold ready jobs for many rounds while its grant is 0,
+// and must submit exactly when its budget (or the work-conserving pass)
+// next lets them.
+TEST(FleetController, PinnedDigestWithAStarvedLowWeightTenant) {
+  std::vector<workload::WorkflowRequest> requests;
+  for (std::size_t i = 0; i < 24; ++i) {
+    workload::WorkflowRequest request;
+    request.index = i;
+    request.arrival_seconds = 15.0 * static_cast<double>(i);
+    request.tenant = i % 2;
+    request.spec = spec_of(workload::Shape::kFan, 12, 100 + i);
+    requests.push_back(request);
+  }
+  FleetOptions options;
+  options.seed = 4;
+  options.tenants = 2;
+  options.tenant_weights = {4.0, 1.0};
+  options.max_jobs_in_flight = 5;
+  options.max_active_workflows = 8;
+  const FleetResult result = run_fleet(options, requests);
+  EXPECT_EQ(result.workflows_succeeded, 24u);
+  EXPECT_EQ(result.digest, 0x24d7e1a75f85d79eULL);
+  EXPECT_EQ(result.events_processed, 699u);
+}
+
+/// Hands out a fixed request list by arrival time, the way a trigger
+/// engine synthesizes requests during the run.
+class ListSource final : public workload::RequestSource {
+ public:
+  explicit ListSource(std::vector<workload::WorkflowRequest> requests)
+      : requests_(std::move(requests)) {}
+  std::vector<workload::WorkflowRequest> poll(double now) override {
+    std::vector<workload::WorkflowRequest> out;
+    while (next_ < requests_.size() && requests_[next_].arrival_seconds <= now) {
+      out.push_back(requests_[next_++]);
+    }
+    return out;
+  }
+  [[nodiscard]] double next_arrival() const override {
+    return next_ < requests_.size() ? requests_[next_].arrival_seconds
+                                    : std::numeric_limits<double>::infinity();
+  }
+
+ private:
+  std::vector<workload::WorkflowRequest> requests_;
+  std::size_t next_ = 0;
+};
+
+// Half the stream arrives statically, half through a RequestSource; both
+// join one admission queue and every admission wakes its engine, so the
+// run is the all-static one (PinnedDigestWithStagingChaosAndBackoff).
+TEST(FleetController, PinnedDigestFedByARequestSource) {
+  const PinnedFleet fleet = pinned_fleet(false, false);
+  std::vector<workload::WorkflowRequest> fixed;
+  std::vector<workload::WorkflowRequest> fed;
+  for (const auto& request : fleet.requests) {
+    (request.index % 2 == 0 ? fixed : fed).push_back(request);
+  }
+  ListSource source(fed);
+  sim::EventQueue queue;
+  FleetController controller(queue, fleet.options);
+  const FleetResult result = controller.run(fixed, &source);
+  EXPECT_EQ(result.workflows_completed, 120u);
+  EXPECT_EQ(result.digest, 0xfda7b44847f56aacULL);
+  EXPECT_EQ(result.events_processed, 3213u);
+}
+
+// Machine-independent work envelope of a round: a backlogged fleet (work
+// arriving faster than the caps drain it, staging, chaos retries) asks
+// only engines that were woken or hold ready jobs under a grant, so
+// can_progress evaluations stay within twice the steps taken. A scan of
+// every live engine per round would make hundreds of visits per step.
+TEST(FleetController, RoundWorkStaysProportionalToSteps) {
+  workload::ArrivalParams params;
+  params.count = 200;
+  params.tenants = 4;
+  params.mean_interarrival_seconds = 20;
+  params.seed = 7;
+  params.shapes.clear();
+  for (const workload::Shape shape : workload::all_shapes()) {
+    params.shapes.push_back(spec_of(shape, 12, 3));
+  }
+  FleetOptions options;
+  options.seed = 9;
+  options.tenants = 4;
+  options.tenant_weights = {4.0, 2.0, 1.0, 1.0};
+  options.max_jobs_in_flight = 64;
+  options.max_active_workflows = 60;
+  options.model_staging = true;
+  options.engine.retries = 10;
+  wms::ChaosConfig chaos;
+  chaos.fail_probability = 0.05;
+  chaos.delay_probability = 0.05;
+  chaos.max_delay_seconds = 120;
+  options.chaos = chaos;
+  const FleetResult result = run_fleet(options, workload::generate_arrivals(params));
+  EXPECT_EQ(result.workflows_succeeded, 200u);
+  EXPECT_GT(result.engine_steps, 0u);
+  EXPECT_LE(result.engine_visits, 2 * result.engine_steps);
 }
 
 TEST(FleetController, ReapedWorkflowsTimedOutAttemptFinishingLaterIsDropped) {

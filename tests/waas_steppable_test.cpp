@@ -400,5 +400,61 @@ TEST(HasOutput, TurnsTrueOnAHeldDelayedCompletionAtItsRelease) {
   EXPECT_FALSE(faulty.has_output());
 }
 
+// ---------------------------------------------- wake hook + handle echo
+
+/// Counts the rings of a WakeHook installed on a service stack.
+struct RingCounter {
+  std::size_t rings = 0;
+  WakeHook hook() {
+    return WakeHook{[](void* context) { ++static_cast<RingCounter*>(context)->rings; },
+                    this};
+  }
+};
+
+/// Steps the queue until has_output() turns true; the event that made it
+/// true must have rung the hook — the promise that lets the fleet visit
+/// only woken engines.
+std::vector<TaskAttempt> step_until_rung_output(sim::EventQueue& queue,
+                                                ExecutionService& service,
+                                                const RingCounter& counter) {
+  while (!service.has_output()) {
+    const std::size_t before = counter.rings;
+    if (!queue.step()) {
+      ADD_FAILURE() << "queue drained without output";
+      return {};
+    }
+    if (service.has_output()) {
+      EXPECT_GT(counter.rings, before);
+    }
+  }
+  return service.poll();
+}
+
+TEST(WakeHook, RingsForStagedAndComputeCompletionsThroughTheStack) {
+  ServiceStacks s;
+  FaultyService faulty(s.staging, FaultPlan());
+  RingCounter counter;
+  faulty.set_wake_hook(counter.hook());
+  for (const char* id : {"stage_in_0", "run_cap3_1"}) {
+    SCOPED_TRACE(id);
+    faulty.submit(s.job(id));
+    const auto out = step_until_rung_output(s.queue, faulty, counter);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].job_id, id);
+    // Every layer echoes the submitted handle.
+    EXPECT_EQ(out[0].job, s.job(id).index);
+  }
+}
+
+TEST(WakeHook, InjectedFailureEchoesTheJobHandle) {
+  ServiceStacks s;
+  FaultyService faulty(s.sim, FaultPlan().fail("run_cap3_1", 1));
+  faulty.submit(s.job("run_cap3_1"));
+  const auto out = faulty.poll();
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_FALSE(out[0].success);
+  EXPECT_EQ(out[0].job, s.job("run_cap3_1").index);
+}
+
 }  // namespace
 }  // namespace pga::wms

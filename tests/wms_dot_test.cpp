@@ -41,7 +41,7 @@ TEST(Dot, EscapesQuotesInNames) {
   AbstractWorkflow wf("has \"quotes\"");
   AbstractJob job;
   job.id = "a";
-  job.transformation = "t";
+  job.transformation = std::string("t");
   wf.add_job(job);
   const std::string dot = to_dot(wf);
   EXPECT_NE(dot.find("\\\"quotes\\\""), std::string::npos);

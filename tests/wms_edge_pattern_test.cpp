@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/strings.hpp"
 #include "wms/dot.hpp"
 #include "wms/edge_pattern.hpp"
 #include "wms/id_table.hpp"
@@ -26,7 +27,7 @@ struct GraphPair {
 
   explicit GraphPair(std::size_t nodes) {
     for (std::size_t i = 0; i < nodes; ++i) {
-      std::string id = "j" + std::to_string(i);
+      std::string id = common::cat({"j", std::to_string(i)});
       if (id.size() < 3) id.insert(1, 3 - id.size(), '0');
       ids.intern(id);
     }
@@ -257,7 +258,7 @@ TEST(EdgePattern, ConcreteWorkflowEmitsIdenticalDotEitherWay) {
     ConcreteWorkflow wf("pattern-dot", "sandhills");
     for (std::size_t i = 0; i < 5; ++i) {
       ConcreteJob job;
-      job.id = "w" + std::to_string(i);
+      job.id = common::cat({"w", std::to_string(i)});
       job.transformation = "work";
       wf.add_job(std::move(job));
     }

@@ -9,6 +9,7 @@
 #include "common/error.hpp"
 #include "common/fsutil.hpp"
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "sim/campus_cluster.hpp"
 #include "wms/statistics.hpp"
 
@@ -178,7 +179,7 @@ TEST(Engine, WideFanOutCompletes) {
   wf.add_job(merge);
   for (int i = 0; i < 100; ++i) {
     ConcreteJob cap3;
-    cap3.id = "cap3_" + std::to_string(i);
+    cap3.id = common::cat({"cap3_", std::to_string(i)});
     cap3.transformation = "run_cap3";
     wf.add_job(cap3);
     wf.add_dependency("split", cap3.id);
@@ -200,7 +201,7 @@ TEST(Engine, RandomDagsRespectTopologicalOrder) {
     const int n = 30;
     for (int i = 0; i < n; ++i) {
       ConcreteJob job;
-      job.id = "j" + std::to_string(i);
+      job.id = common::cat({"j", std::to_string(i)});
       job.transformation = "tf";
       wf.add_job(std::move(job));
     }
@@ -208,7 +209,8 @@ TEST(Engine, RandomDagsRespectTopologicalOrder) {
     for (int i = 0; i < n; ++i) {
       for (int j = i + 1; j < n; ++j) {
         if (rng.chance(0.1)) {
-          wf.add_dependency("j" + std::to_string(i), "j" + std::to_string(j));
+          wf.add_dependency(common::cat({"j", std::to_string(i)}),
+                            common::cat({"j", std::to_string(j)}));
         }
       }
     }
@@ -261,7 +263,7 @@ TEST(Engine, ThrottleLimitsInFlightJobs) {
   ConcreteWorkflow wf("wide", "x");
   for (int i = 0; i < 40; ++i) {
     ConcreteJob job;
-    job.id = "j" + std::to_string(i);
+    job.id = common::cat({"j", std::to_string(i)});
     job.transformation = "tf";
     wf.add_job(std::move(job));
   }

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/strings.hpp"
 #include "sim/osg.hpp"
 #include "wms/engine.hpp"
 #include "wms/statistics.hpp"
@@ -29,7 +30,7 @@ ConcreteJob job(const std::string& id, double cost = 10, bool setup = false) {
 TEST(LocalService, RunsJobsForReal) {
   std::atomic<int> executed{0};
   LocalService service(4, [&executed](const ConcreteJob&) { executed.fetch_add(1); });
-  for (int i = 0; i < 10; ++i) service.submit(job("j" + std::to_string(i)));
+  for (int i = 0; i < 10; ++i) service.submit(job(common::cat({"j", std::to_string(i)})));
   std::size_t completions = 0;
   while (completions < 10) {
     const auto batch = service.wait();
@@ -84,7 +85,7 @@ std::vector<TaskAttempt> collect(LocalService& service, std::size_t count) {
 
 TEST(LocalService, SuccessfulAttemptsCarryIdentityAndTimings) {
   LocalService service(4, [](const ConcreteJob&) {});
-  for (int i = 0; i < 20; ++i) service.submit(job("j" + std::to_string(i)));
+  for (int i = 0; i < 20; ++i) service.submit(job(common::cat({"j", std::to_string(i)})));
   const auto attempts = collect(service, 20);
   ASSERT_EQ(attempts.size(), 20u);
   std::set<std::string> ids;
@@ -174,7 +175,7 @@ TEST(LocalService, SlotsBoundConcurrency) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     running.fetch_sub(1);
   });
-  for (int i = 0; i < 12; ++i) service.submit(job("j" + std::to_string(i)));
+  for (int i = 0; i < 12; ++i) service.submit(job(common::cat({"j", std::to_string(i)})));
   EXPECT_EQ(collect(service, 12).size(), 12u);
   EXPECT_GE(peak.load(), 1);
   EXPECT_LE(peak.load(), 3);
@@ -187,7 +188,7 @@ TEST(LocalService, DestructionWaitsForOutstandingJobs) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
       done.fetch_add(1);
     });
-    for (int i = 0; i < 16; ++i) service.submit(job("j" + std::to_string(i)));
+    for (int i = 0; i < 16; ++i) service.submit(job(common::cat({"j", std::to_string(i)})));
   }
   EXPECT_EQ(done.load(), 16);
 }
@@ -202,7 +203,7 @@ TEST(SimServiceOsg, InstallAndRetriesFlowThroughEngine) {
 
   ConcreteWorkflow wf("osg-test", "osg");
   for (int i = 0; i < 20; ++i) {
-    wf.add_job(job("j" + std::to_string(i), 1'000, /*setup=*/true));
+    wf.add_job(job(common::cat({"j", std::to_string(i)}), 1'000, /*setup=*/true));
   }
   DagmanEngine engine(EngineOptions{.retries = 20, .rescue_path = {}});
   const auto report = engine.run(wf, service);
@@ -227,7 +228,7 @@ TEST(SimService, DeterministicAcrossRuns) {
     sim::OsgPlatform platform(queue, config);
     SimService service(queue, platform);
     ConcreteWorkflow wf("det", "osg");
-    for (int i = 0; i < 10; ++i) wf.add_job(job("j" + std::to_string(i), 500, true));
+    for (int i = 0; i < 10; ++i) wf.add_job(job(common::cat({"j", std::to_string(i)}), 500, true));
     DagmanEngine engine(EngineOptions{.retries = 10, .rescue_path = {}});
     return engine.run(wf, service).wall_seconds();
   };
@@ -241,7 +242,7 @@ TEST(SimService, StatisticsAccountingIdentities) {
   sim::OsgPlatform platform(queue, config);
   SimService service(queue, platform);
   ConcreteWorkflow wf("acct", "osg");
-  for (int i = 0; i < 30; ++i) wf.add_job(job("j" + std::to_string(i), 2'000, true));
+  for (int i = 0; i < 30; ++i) wf.add_job(job(common::cat({"j", std::to_string(i)}), 2'000, true));
   DagmanEngine engine(EngineOptions{.retries = 30, .rescue_path = {}});
   const auto report = engine.run(wf, service);
   ASSERT_TRUE(report.success);

@@ -8,6 +8,7 @@
 #include <map>
 
 #include "common/error.hpp"
+#include "common/strings.hpp"
 #include "sim/campus_cluster.hpp"
 #include "wms/engine.hpp"
 
@@ -256,7 +257,7 @@ TEST(FaultyService, ChaosModeIsSeedDeterministic) {
     chaos.seed = seed;
     FaultyService faulty(stub, FaultPlan().chaos(chaos));
     ConcreteWorkflow wf("soak", "stub");
-    for (int i = 0; i < 25; ++i) wf.add_job(job("j" + std::to_string(i)));
+    for (int i = 0; i < 25; ++i) wf.add_job(job(common::cat({"j", std::to_string(i)})));
     DagmanEngine engine(EngineOptions{.retries = 10, .rescue_path = {}});
     const auto report = engine.run(wf, faulty);
     std::string log;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/strings.hpp"
 
 namespace pga::wms {
 namespace {
@@ -48,12 +49,12 @@ TEST(IdTable, ViewsStayValidAcrossGrowth) {
   const std::string_view first = table.name(table.intern("job_0"));
   std::vector<std::string_view> views;
   for (int i = 0; i < 20'000; ++i) {
-    views.push_back(table.name(table.intern("job_" + std::to_string(i))));
+    views.push_back(table.name(table.intern(common::cat({"job_", std::to_string(i)}))));
   }
   EXPECT_EQ(first, "job_0");
   EXPECT_EQ(first.data(), views[0].data());
   for (int i = 0; i < 20'000; ++i) {
-    EXPECT_EQ(views[static_cast<std::size_t>(i)], "job_" + std::to_string(i));
+    EXPECT_EQ(views[static_cast<std::size_t>(i)], common::cat({"job_", std::to_string(i)}));
   }
   EXPECT_GT(table.arena_bytes(), 0u);
 }
@@ -62,11 +63,11 @@ TEST(IdTable, EveryIdRoundTripsAtScale) {
   IdTable table;
   constexpr std::uint32_t kCount = 50'000;
   for (std::uint32_t i = 0; i < kCount; ++i) {
-    ASSERT_EQ(table.intern("id_" + std::to_string(i)), i);
+    ASSERT_EQ(table.intern(common::cat({"id_", std::to_string(i)})), i);
   }
   ASSERT_EQ(table.size(), kCount);
   for (std::uint32_t i = 0; i < kCount; ++i) {
-    const std::string id = "id_" + std::to_string(i);
+    const std::string id = common::cat({"id_", std::to_string(i)});
     ASSERT_EQ(table.find(id), i) << id;
     ASSERT_EQ(table.name(i), id) << id;
   }
@@ -76,7 +77,7 @@ TEST(IdTable, ReservePreSizesWithoutChangingSemantics) {
   IdTable table;
   table.reserve(10'000, 200'000);
   for (std::uint32_t i = 0; i < 10'000; ++i) {
-    ASSERT_EQ(table.intern("j" + std::to_string(i)), i);
+    ASSERT_EQ(table.intern(common::cat({"j", std::to_string(i)})), i);
   }
   EXPECT_EQ(table.find("j9999"), 9999u);
   EXPECT_EQ(table.find("j10000"), IdTable::kInvalid);

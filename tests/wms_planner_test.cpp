@@ -393,5 +393,24 @@ TEST(ConcreteWorkflowContract, BulkRejectsDuplicateAndEmptyIds) {
   EXPECT_THROW(empty.finish_bulk(), common::InvalidArgument);
 }
 
+// A failed finish_bulk leaves no half-interned ids behind: the workflow is
+// empty again, so the next job gets handle 0 and its id resolves to it.
+TEST(ConcreteWorkflowContract, FailedBulkLeavesTheWorkflowEmpty) {
+  ConcreteWorkflow wf("bulk", "osg");
+  ConcreteJob* jobs = wf.begin_bulk(3);
+  jobs[0].id = "a";
+  jobs[1].id = "a";
+  jobs[2].id = "c";
+  EXPECT_THROW(wf.finish_bulk(), common::InvalidArgument);
+  EXPECT_TRUE(wf.jobs().empty());
+  EXPECT_FALSE(wf.has_job("a"));
+
+  ConcreteJob d;
+  d.id = "d";
+  d.transformation = "t";
+  EXPECT_EQ(wf.add_job(std::move(d)), 0u);
+  EXPECT_EQ(wf.jobs()[wf.job_index("d")].id, "d");
+}
+
 }  // namespace
 }  // namespace pga::wms

@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/fsutil.hpp"
+#include "common/strings.hpp"
 #include "wms/engine.hpp"
 
 namespace pga::wms {
@@ -97,11 +98,12 @@ TEST(StatusBoard, EngineIntegrationWithLiveLocalRun) {
   ConcreteWorkflow wf("live", "local");
   for (int i = 0; i < 12; ++i) {
     ConcreteJob job;
-    job.id = "j" + std::to_string(i);
+    job.id = common::cat({"j", std::to_string(i)});
     job.transformation = "sleepy";
     wf.add_job(std::move(job));
     if (i > 0) {
-      wf.add_dependency("j" + std::to_string(i - 1), "j" + std::to_string(i));
+      wf.add_dependency(common::cat({"j", std::to_string(i - 1)}),
+                        common::cat({"j", std::to_string(i)}));
     }
   }
 

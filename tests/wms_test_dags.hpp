@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "sim/campus_cluster.hpp"
 #include "wms/catalog.hpp"
 #include "wms/engine.hpp"
@@ -23,10 +24,10 @@ namespace pga::wms::testing {
 /// Random DAG in the style of tests/property_test.cpp: forward edges only.
 inline ConcreteWorkflow random_dag(std::uint64_t seed, int n = 25) {
   common::Rng rng(seed);
-  ConcreteWorkflow wf("chaos-" + std::to_string(seed), "sim");
+  ConcreteWorkflow wf(common::cat({"chaos-", std::to_string(seed)}), "sim");
   for (int i = 0; i < n; ++i) {
     ConcreteJob job;
-    job.id = "j" + std::to_string(i);
+    job.id = common::cat({"j", std::to_string(i)});
     job.transformation = i % 3 == 0 ? "split" : "run_cap3";
     job.cpu_seconds_hint = rng.uniform(50, 500);
     wf.add_job(std::move(job));
@@ -34,7 +35,8 @@ inline ConcreteWorkflow random_dag(std::uint64_t seed, int n = 25) {
   for (int i = 0; i < n; ++i) {
     for (int j = i + 1; j < n; ++j) {
       if (rng.chance(0.12)) {
-        wf.add_dependency("j" + std::to_string(i), "j" + std::to_string(j));
+        wf.add_dependency(common::cat({"j", std::to_string(i)}),
+                          common::cat({"j", std::to_string(j)}));
       }
     }
   }
@@ -61,14 +63,14 @@ inline ChaosConfig chaos_for(std::uint64_t seed) {
 /// data-layer suites share one scenario.
 inline ConcreteWorkflow staging_heavy_dag(std::size_t width = 4,
                                           const std::string& site = "osg") {
-  ConcreteWorkflow wf("staging-heavy-" + std::to_string(width), site);
+  ConcreteWorkflow wf(common::cat({"staging-heavy-", std::to_string(width)}), site);
   ConcreteJob stage_in;
   stage_in.id = "stage_in_0";
   stage_in.transformation = "pegasus-transfer";
   stage_in.kind = JobKind::kStageIn;
   stage_in.cpu_seconds_hint = 60;
   for (std::size_t i = 0; i < width; ++i) {
-    stage_in.args.push_back("reference_" + std::to_string(i) + ".fasta");
+    stage_in.args.push_back(common::cat({"reference_", std::to_string(i), ".fasta"}));
   }
   wf.add_job(std::move(stage_in));
   ConcreteJob stage_out;
@@ -78,18 +80,18 @@ inline ConcreteWorkflow staging_heavy_dag(std::size_t width = 4,
   stage_out.cpu_seconds_hint = 60;
   for (std::size_t i = 0; i < width; ++i) {
     ConcreteJob job;
-    job.id = "run_cap3_" + std::to_string(i);
+    job.id = common::cat({"run_cap3_", std::to_string(i)});
     job.transformation = "run_cap3";
     job.cpu_seconds_hint = 200 + 10.0 * static_cast<double>(i);
     job.needs_software_setup = site == "osg";
     job.software_bytes = 350ull * 1024 * 1024;
     wf.add_job(std::move(job));
-    wf.add_dependency("stage_in_0", "run_cap3_" + std::to_string(i));
-    stage_out.args.push_back("contigs_" + std::to_string(i) + ".fasta");
+    wf.add_dependency("stage_in_0", common::cat({"run_cap3_", std::to_string(i)}));
+    stage_out.args.push_back(common::cat({"contigs_", std::to_string(i), ".fasta"}));
   }
   wf.add_job(std::move(stage_out));
   for (std::size_t i = 0; i < width; ++i) {
-    wf.add_dependency("run_cap3_" + std::to_string(i), "stage_out_0");
+    wf.add_dependency(common::cat({"run_cap3_", std::to_string(i)}), "stage_out_0");
   }
   return wf;
 }
@@ -101,7 +103,7 @@ inline ReplicaCatalog staging_heavy_replicas(std::size_t width = 4,
                                              const std::string& site = "osg") {
   ReplicaCatalog rc;
   for (std::size_t i = 0; i < width; ++i) {
-    const std::string lfn = "reference_" + std::to_string(i) + ".fasta";
+    const std::string lfn = common::cat({"reference_", std::to_string(i), ".fasta"});
     rc.add(lfn, {"/data/" + lfn, "local", 64ull * 1024 * 1024});
     if (i % 2 == 0) rc.add(lfn, {"/scratch/" + lfn, site, 64ull * 1024 * 1024});
   }
