@@ -1,13 +1,17 @@
 #!/usr/bin/env bash
-# Tier-1 CI: configure, build and run the tier-1 suite three times —
-#   1. default (Release-ish) build in build/, with -Werror: the default
+# Tier-1 CI: configure, build and run the tier-1 suite four times —
+#   1. default (RelWithDebInfo) build in build/, with -Werror: the default
 #      build is warning-free and stays that way (the perf smokes below
 #      reuse this tree, so the bench harnesses are held to it too)
-#   2. ASan+UBSan build (-DPGA_SANITIZE=address) in build-asan/, catching
+#   2. Release build in build-release/, with -Werror: -O3 inlining makes
+#      GCC warn where the default build does not (-Wrestrict on string
+#      concatenation chains), so the Release configuration perfbench
+#      builds is held warning-free too
+#   3. ASan+UBSan build (-DPGA_SANITIZE=address) in build-asan/, catching
 #      lifetime bugs in the event-observer wiring (borrowed EngineObserver
 #      pointers, the kAttemptFinished result pointer that is only valid
 #      during the callback) and UB anywhere in the suite.
-#   3. ThreadSanitizer build (-DPGA_SANITIZE=thread) in build-tsan/,
+#   4. ThreadSanitizer build (-DPGA_SANITIZE=thread) in build-tsan/,
 #      catching data races in LocalService's thread pool and the chaos
 #      suite's concurrent paths.
 # Every test carries a tier1* ctest label; the chaos suite additionally
@@ -31,6 +35,7 @@ run_suite() {
 }
 
 run_suite build -DCMAKE_CXX_FLAGS=-Werror
+run_suite build-release -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror
 run_suite build-asan -DPGA_SANITIZE=address
 run_suite build-tsan -DPGA_SANITIZE=thread
 
@@ -137,4 +142,4 @@ for line in sys.stdin:
   fi
 done
 
-echo "==> CI OK (default + asan/ubsan + tsan + perf smokes + perfbench digests)"
+echo "==> CI OK (default + release + asan/ubsan + tsan + perf smokes + perfbench digests)"

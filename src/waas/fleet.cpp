@@ -17,7 +17,6 @@
 #include "data/storage_events.hpp"
 #include "data/transfer_manager.hpp"
 #include "wms/exec_service.hpp"
-#include "wms/planner.hpp"
 #include "workload/generator.hpp"
 
 namespace pga::waas {
@@ -95,7 +94,7 @@ struct FleetController::Rounds {
 
 /// One admitted workflow. Members are declaration-ordered so destruction
 /// tears the engine down before the services it references, and the
-/// services before the catalogs/plan they reference.
+/// services before the catalog/workflow they reference.
 struct FleetController::Active {
   std::uint64_t seq = 0;     ///< admission order, the key of every index
   FleetController::Rounds* rounds = nullptr;
@@ -193,17 +192,11 @@ void FleetController::admit(const workload::WorkflowRequest& request) {
   active->arrival = request.arrival_seconds;
   active->admitted = queue_.now();
 
-  // Plan for the chosen site.
-  const wms::AbstractWorkflow abstract = workload::build_workflow(request.spec);
-  wms::PlannerOptions planner_options;
-  planner_options.target_site = active->platform_name;
-  planner_options.expected_output_bytes =
-      workload::expected_output_bytes(request.spec);
-  active->replicas = workload::generator_replica_catalog(abstract, request.spec);
-  active->workflow = std::make_unique<wms::ConcreteWorkflow>(
-      wms::plan(abstract, workload::generator_site_catalog(),
-                workload::generator_transformation_catalog(abstract),
-                active->replicas, planner_options));
+  // The chosen site's plan of this topology, planned on its first
+  // request and shared since; only this request's costs are drawn.
+  workload::PlannedRequest planned = topologies_.plan(request.spec, active->platform_name);
+  active->replicas = std::move(planned.replicas);
+  active->workflow = std::make_unique<wms::ConcreteWorkflow>(std::move(planned.workflow));
 
   // Service stack, innermost out: SimService on the placed platform, then
   // optional shared-bandwidth staging, then optional per-request chaos.
@@ -571,6 +564,7 @@ FleetResult FleetController::run(
   result.engine_events = telemetry_.engine_events();
   result.engine_visits = rounds.visits;
   result.engine_steps = rounds.steps;
+  result.topologies_planned = topologies_.size();
   result.finished_at_seconds = queue_.now();
   result.p50_makespan_seconds = telemetry_.makespan_percentile(50);
   result.p99_makespan_seconds = telemetry_.makespan_percentile(99);

@@ -12,9 +12,13 @@
 //     controller admits the request whose tenant has the smallest
 //     weighted deficit (jobs-in-flight / weight), i.e. weighted fair
 //     share across tenants, FIFO within a tenant;
-//   * placement: each admitted workflow is planned (workload::plan_shape
-//     pipeline) for whichever platform currently carries fewer of the
-//     fleet's in-flight jobs (ties go to the campus cluster);
+//   * placement: each admitted workflow goes to whichever platform
+//     currently carries fewer of the fleet's in-flight jobs (ties go to
+//     the campus cluster). Admission plans once per topology: the
+//     controller's workload::TopologyCache plans a (shape, size,
+//     diamond_stages, fan_arity_step, edge_patterns, site) key on its
+//     first request, and every later request of the key shares that plan's
+//     id table and graph and only draws its own costs and replica sizes;
 //   * execution: engines are stepped cooperatively — step_cooperative()
 //     never blocks, and a round steps an engine only when it can make
 //     progress (EngineInstance::can_progress) or a queue event is due at
@@ -57,6 +61,7 @@
 #include "wms/engine.hpp"
 #include "wms/fault_injection.hpp"
 #include "workload/arrival.hpp"
+#include "workload/topology_cache.hpp"
 
 namespace pga::data {
 class TransferManager;
@@ -149,6 +154,9 @@ struct FleetResult {
   /// engines are alive.
   std::uint64_t engine_visits = 0;
   std::uint64_t engine_steps = 0;
+  /// Distinct (topology, site) keys admission planned; every other
+  /// admission reused one of those plans.
+  std::size_t topologies_planned = 0;
   double finished_at_seconds = 0;      ///< clock when the last engine drained
   double p50_makespan_seconds = 0;
   double p99_makespan_seconds = 0;
@@ -212,6 +220,8 @@ class FleetController {
   std::unique_ptr<sim::OsgPlatform> osg_;
   std::unique_ptr<data::TransferManager> transfers_;
   std::unique_ptr<data::StorageEventBus> storage_bus_;
+  /// Planned topologies by key, shared by the workflows admitted from them.
+  workload::TopologyCache topologies_;
 
   /// Admitted engines by admission sequence number; a reaped engine
   /// leaves its slot empty.

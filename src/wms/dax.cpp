@@ -39,13 +39,14 @@ std::uint32_t AbstractWorkflow::add_job(AbstractJob job) {
 }
 
 void AbstractWorkflow::add_dependency(std::uint32_t parent, std::uint32_t child) {
+  WorkflowTopology& topology = own_topology();
   check_edge(parent, child);
-  if (graph_.has_edge(parent, child, ids_)) return;
-  if (graph_.path_exists(child, parent)) {
+  if (topology.graph.has_edge(parent, child, topology.ids)) return;
+  if (topology.graph.path_exists(child, parent)) {
     throw WorkflowError("dependency " + jobs_[parent].id + " -> " +
                         jobs_[child].id + " creates a cycle");
   }
-  graph_.add_edge(parent, child, ids_);
+  topology.graph.add_edge(parent, child, topology.ids);
 }
 
 namespace {

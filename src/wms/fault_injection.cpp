@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/error.hpp"
+#include "wms/id_table.hpp"
 
 namespace pga::wms {
 
@@ -90,14 +91,15 @@ FaultyService::FaultyService(ExecutionService& inner, FaultPlan plan)
       plan_(std::move(plan)),
       rng_(plan_.chaos_config() ? plan_.chaos_config()->seed : 0) {}
 
-int FaultyService::attempts_seen(const std::string& job) const {
-  const auto it = attempt_counts_.find(job);
-  return it == attempt_counts_.end() ? 0 : it->second;
-}
-
 void FaultyService::submit(const ConcreteJob& job) {
-  const int attempt = ++attempt_counts_[job.id];
-  const auto matches = plan_.match(job.id, attempt);
+  if (job.index == IdTable::kInvalid) {
+    throw common::InvalidArgument("FaultyService: job " + job.id +
+                                  " has no handle (submit jobs of a workflow)");
+  }
+  if (job.index >= attempt_counts_.size()) attempt_counts_.resize(job.index + 1, 0);
+  const int attempt = ++attempt_counts_[job.index];
+  std::vector<const FaultDirective*> matches;
+  if (plan_.directive_count() > 0) matches = plan_.match(job.id, attempt);
 
   // Resolve the scripted directives into one primary action plus rewrites.
   bool do_hang = false;
@@ -156,16 +158,31 @@ void FaultyService::submit(const ConcreteJob& job) {
   }
 
   if (post.delay_seconds > 0 || !post.corrupt_node.empty()) {
-    post_[job.id] = post;
+    if (job.index >= post_.size()) post_.resize(job.index + 1);
+    if (!post_[job.index]) ++posts_pending_;
+    post.job_id = job.id;
+    post_[job.index] = std::move(post);
   }
   inner_.submit(job);
 }
 
 bool FaultyService::apply_post(TaskAttempt& attempt) {
-  const auto it = post_.find(attempt.job_id);
-  if (it == post_.end()) return false;
-  const Post post = it->second;
-  post_.erase(it);
+  if (posts_pending_ == 0) return false;
+  std::uint32_t handle = attempt.job;
+  if (handle >= post_.size() || !post_[handle] || post_[handle]->job_id != attempt.job_id) {
+    // The inner service echoed no handle (or another job's): match by id.
+    handle = IdTable::kInvalid;
+    for (std::uint32_t h = 0; h < post_.size(); ++h) {
+      if (post_[h] && post_[h]->job_id == attempt.job_id) {
+        handle = h;
+        break;
+      }
+    }
+    if (handle == IdTable::kInvalid) return false;
+  }
+  const Post post = std::move(*post_[handle]);
+  post_[handle].reset();
+  --posts_pending_;
   if (!post.corrupt_node.empty()) {
     ++corrupted_nodes_;
     attempt.node = post.corrupt_node;

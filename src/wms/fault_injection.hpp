@@ -16,7 +16,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -115,9 +114,10 @@ class FaultPlan {
 ///    timeouts).
 ///
 /// Not thread-safe: call submit()/wait()/wait_for() from one thread (the
-/// engine's), exactly like every other ExecutionService. Assumes at most
-/// one attempt of a given job id is in flight at a time, which is how the
-/// DAGMan engine drives services.
+/// engine's), exactly like every other ExecutionService. Serves one
+/// workflow: attempts are counted per job handle (ConcreteJob::index), so
+/// submitted jobs must carry one, and at most one attempt of a job is in
+/// flight at a time, which is how the DAGMan engine drives services.
 class FaultyService final : public ExecutionService {
  public:
   FaultyService(ExecutionService& inner, FaultPlan plan);
@@ -155,12 +155,11 @@ class FaultyService final : public ExecutionService {
   [[nodiscard]] std::size_t injected_hangs() const { return injected_hangs_; }
   [[nodiscard]] std::size_t injected_delays() const { return injected_delays_; }
   [[nodiscard]] std::size_t corrupted_nodes() const { return corrupted_nodes_; }
-  /// Submissions seen so far for `job` (the next submission is attempt n+1).
-  [[nodiscard]] int attempts_seen(const std::string& job) const;
 
  private:
   /// Post-processing scheduled at submit time, applied at completion time.
   struct Post {
+    std::string job_id;  ///< matches completions of services that echo no handle
     double delay_seconds = 0;
     std::string corrupt_node;
   };
@@ -180,10 +179,11 @@ class FaultyService final : public ExecutionService {
   ExecutionService& inner_;
   FaultPlan plan_;
   common::Rng rng_;
-  std::map<std::string, int> attempt_counts_;
-  std::map<std::string, Post> post_;  ///< job id -> pending rewrite
-  std::deque<TaskAttempt> due_;       ///< synthesized, ready to deliver
-  std::vector<Held> held_;            ///< delayed completions
+  std::vector<int> attempt_counts_;        ///< by job handle, grown on demand
+  std::vector<std::optional<Post>> post_;  ///< by job handle: pending rewrite
+  std::size_t posts_pending_ = 0;          ///< engaged entries of post_
+  std::deque<TaskAttempt> due_;            ///< synthesized, ready to deliver
+  std::vector<Held> held_;                 ///< delayed completions
   std::size_t hung_outstanding_ = 0;
   std::size_t injected_failures_ = 0;
   std::size_t injected_hangs_ = 0;

@@ -24,6 +24,7 @@ std::uint32_t ConcreteWorkflow::add_job(ConcreteJob job) {
 }
 
 ConcreteJob* ConcreteWorkflow::begin_bulk(std::size_t count) {
+  (void)own_topology();  // a shared topology is frozen
   if (!jobs_.empty() || bulk_open_) {
     throw InvalidArgument("begin_bulk requires an empty workflow");
   }
@@ -35,26 +36,43 @@ ConcreteJob* ConcreteWorkflow::begin_bulk(std::size_t count) {
 void ConcreteWorkflow::finish_bulk() {
   if (!bulk_open_) throw InvalidArgument("finish_bulk without begin_bulk");
   bulk_open_ = false;
+  WorkflowTopology& topology = own_topology();
   for (std::uint32_t i = 0; i < jobs_.size(); ++i) {
     ConcreteJob& job = jobs_[i];
-    if (job.id.empty() || ids_.intern(job.id) != i) {
+    if (job.id.empty() || topology.ids.intern(job.id) != i) {
       // All or nothing: the workflow goes back to the empty state
       // begin_bulk found, so no half-interned job set survives.
       std::string message = job.id.empty()
                                 ? common::cat({"bulk job ", std::to_string(i), " has no id"})
                                 : common::cat({"duplicate job id: ", job.id});
       jobs_.clear();
-      ids_ = IdTable();
+      topology.ids = IdTable();
       throw InvalidArgument(message);
     }
     job.index = i;
   }
-  graph_.set_node_count(jobs_.size());
+  topology.graph.set_node_count(jobs_.size());
 }
 
 void ConcreteWorkflow::add_dependency(std::uint32_t parent, std::uint32_t child) {
+  WorkflowTopology& topology = own_topology();
   check_edge(parent, child);
-  graph_.add_edge(parent, child, ids_);
+  topology.graph.add_edge(parent, child, topology.ids);
+}
+
+ConcreteWorkflow::ConcreteWorkflow(const ConcreteWorkflow& other, std::string name)
+    : WorkflowBase(other, std::move(name)),
+      site_(other.site_),
+      constituents_(other.constituents_) {}
+
+ConcreteWorkflow ConcreteWorkflow::share_topology(std::string name) const {
+  if (bulk_open_) throw InvalidArgument("share_topology during an open bulk build");
+  return ConcreteWorkflow(*this, std::move(name));
+}
+
+ConcreteJob& ConcreteWorkflow::mutable_job_at(std::uint32_t index) {
+  check_handle(index);
+  return jobs_[index];
 }
 
 std::string_view ConcreteWorkflow::abstract_id_of(std::uint32_t index) const {

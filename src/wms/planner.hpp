@@ -84,11 +84,20 @@ class ConcreteWorkflow : public WorkflowBase<ConcreteWorkflow, ConcreteJob> {
   ConcreteJob* begin_bulk(std::size_t count);
   void finish_bulk();
 
+  /// A workflow named `name` that shares this one's topology block (ids
+  /// and graph, not copied) and copies its job records, site and
+  /// clustering table. Both workflows' structural edits then throw
+  /// InvalidArgument for as long as the block stays shared; their job
+  /// records stay theirs to change (costs, flags — never id or index).
+  [[nodiscard]] ConcreteWorkflow share_topology(std::string name) const;
+
   [[nodiscard]] const std::string& site() const { return site_; }
   /// Mutable access (the planner adjusts flags after structural edits).
   [[nodiscard]] ConcreteJob& mutable_job(const std::string& id) {
     return jobs_[job_index(id)];
   }
+  /// jobs()[index], mutable and bounds-checked.
+  [[nodiscard]] ConcreteJob& mutable_job_at(std::uint32_t index);
 
   // --------------------------------------------------- clustering lookups
   /// The abstract job a concrete job realizes: its own id for plain
@@ -104,6 +113,8 @@ class ConcreteWorkflow : public WorkflowBase<ConcreteWorkflow, ConcreteJob> {
   [[nodiscard]] std::size_t count(JobKind kind) const;
 
  private:
+  ConcreteWorkflow(const ConcreteWorkflow& other, std::string name);
+
   std::string site_;
   bool bulk_open_ = false;
   /// Clustering side table: only clustered jobs have entries.

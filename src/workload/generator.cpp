@@ -518,18 +518,25 @@ wms::TransformationCatalog generator_transformation_catalog(
 
 wms::ReplicaCatalog generator_replica_catalog(const wms::AbstractWorkflow& workflow,
                                               const ShapeSpec& spec) {
-  const CostModel model = cost_model_for(spec);
+  return generator_replica_catalog(workflow.workflow_inputs(), cost_model_for(spec));
+}
+
+wms::ReplicaCatalog generator_replica_catalog(const std::vector<std::string>& inputs,
+                                              const CostModel& model) {
   wms::ReplicaCatalog rc;
   std::size_t rank = 0;
-  for (const auto& lfn : workflow.workflow_inputs()) {
+  for (const auto& lfn : inputs) {
     rc.add(lfn, {"/data/" + lfn, "local", model.file_bytes(rank++)});
   }
   return rc;
 }
 
 std::uint64_t expected_output_bytes(const ShapeSpec& spec) {
+  return expected_output_bytes(spec, cost_model_for(spec));
+}
+
+std::uint64_t expected_output_bytes(const ShapeSpec& spec, const CostModel& model) {
   const ShapeCounts counts = closed_form_counts(spec);
-  const CostModel model = cost_model_for(spec);
   std::uint64_t bytes = 0;
   for (std::size_t i = 0; i < counts.outputs; ++i) {
     bytes += model.file_bytes(counts.inputs + i);

@@ -60,7 +60,9 @@ struct ShapeSpec {
   /// adversarial layout for width-blind release order.
   std::size_t fan_arity_step = 0;
   /// Instance seed, folded into the cost model's stream so two specs
-  /// differing only in seed share topology but not costs.
+  /// differing only in seed share topology but not costs: a
+  /// TopologyCache (topology_cache.hpp) plans such specs once per site and
+  /// only draws each one's costs.
   std::uint64_t seed = 42;
   CostModelParams cost{};
   /// Emit the regular fan-out/fan-in families as EdgePattern records
@@ -115,11 +117,18 @@ struct ShapeCounts {
 /// spec's IO model — this is where the data layer gets its stage-in bytes.
 [[nodiscard]] wms::ReplicaCatalog generator_replica_catalog(
     const wms::AbstractWorkflow& workflow, const ShapeSpec& spec);
+/// The same catalog from the workflow's external inputs (its
+/// workflow_inputs(), in file-rank order) and its drawn cost model.
+[[nodiscard]] wms::ReplicaCatalog generator_replica_catalog(
+    const std::vector<std::string>& inputs, const CostModel& model);
 
 /// Expected bytes of the final outputs (the IO model's output ranks);
 /// plumbed into PlannerOptions::expected_output_bytes so stage-out is
 /// priced like stage-in.
 [[nodiscard]] std::uint64_t expected_output_bytes(const ShapeSpec& spec);
+/// The same, read off the spec's already drawn cost_model_for(spec).
+[[nodiscard]] std::uint64_t expected_output_bytes(const ShapeSpec& spec,
+                                                  const CostModel& model);
 
 /// Convenience: build + catalogs + plan for `site` ("sandhills"/"osg").
 [[nodiscard]] wms::ConcreteWorkflow plan_shape(const ShapeSpec& spec,

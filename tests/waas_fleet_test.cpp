@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -482,6 +484,34 @@ TEST(FleetController, RoundWorkStaysProportionalToSteps) {
   EXPECT_EQ(result.workflows_succeeded, 200u);
   EXPECT_GT(result.engine_steps, 0u);
   EXPECT_LE(result.engine_visits, 2 * result.engine_steps);
+}
+
+// Admission plans each (topology, site) key once: a six-shape stream on
+// both platforms plans exactly its distinct (shape, site) pairs, however
+// many requests it admits.
+TEST(FleetController, PlansOncePerTopologyAndSite) {
+  workload::ArrivalParams params;
+  params.count = 240;
+  params.tenants = 2;
+  params.mean_interarrival_seconds = 5;
+  params.seed = 11;
+  params.shapes.clear();
+  for (const workload::Shape shape : workload::all_shapes()) {
+    params.shapes.push_back(spec_of(shape, 8, 3));
+  }
+  const auto requests = workload::generate_arrivals(params);
+  FleetOptions options;
+  options.tenants = 2;
+  options.max_jobs_in_flight = 48;
+  options.model_staging = true;
+  const FleetResult result = run_fleet(options, requests);
+  ASSERT_EQ(result.workflows_succeeded, 240u);
+  std::set<std::pair<workload::Shape, std::string>> keys;
+  for (const auto& outcome : result.outcomes) {
+    keys.emplace(requests[outcome.index].spec.shape, outcome.platform);
+  }
+  EXPECT_EQ(keys.size(), 12u);
+  EXPECT_EQ(result.topologies_planned, keys.size());
 }
 
 TEST(FleetController, ReapedWorkflowsTimedOutAttemptFinishingLaterIsDropped) {

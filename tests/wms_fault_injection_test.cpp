@@ -233,6 +233,14 @@ TEST(FaultPlan, RejectsBadArguments) {
   EXPECT_THROW(FaultPlan().chaos(bad), common::InvalidArgument);
 }
 
+TEST(FaultyService, RejectsAJobWithoutAHandle) {
+  // Attempts are counted per job handle, which only a workflow assigns.
+  StubService stub;
+  FaultyService faulty(stub, FaultPlan().fail("a", 1));
+  EXPECT_THROW(faulty.submit(job("a")), common::InvalidArgument);
+  EXPECT_TRUE(stub.submissions.empty());
+}
+
 TEST(FaultyService, LabelAndPassThrough) {
   StubService stub;
   FaultyService faulty(stub, FaultPlan());
